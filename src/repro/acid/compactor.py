@@ -85,8 +85,7 @@ class CompactionInitiator:
                 delta_rows += OrcReader(fs.read(path)).num_rows
         return should_compact(
             len(insert_deltas), len(delete_deltas), delta_rows, base_rows,
-            self.conf.compaction_delta_threshold,
-            self.conf.compaction_delta_pct_threshold)
+            self.conf.compaction_delta_threshold)
 
 
 class CompactionWorker:

@@ -21,31 +21,108 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
+
+_BOOL_SPELLINGS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
 
 #: accepted spellings of the ``check_plan`` mode, mapped to canon
 _CHECK_PLAN_MODES = {
-    "off": "off", "false": "off", "0": "off", "no": "off",
-    "on": "on", "true": "on", "1": "on", "yes": "on",
     "paranoid": "paranoid",
+    **{word: "on" if flag else "off"
+       for word, flag in _BOOL_SPELLINGS.items()},
 }
 
 
-def _default_check_plan() -> str:
-    """Default plan-check mode; the HIVE_CHECK_PLAN environment variable
-    lets a whole test run opt in (CI runs one pass with paranoid)."""
-    return os.environ.get("HIVE_CHECK_PLAN", "off")
+def _optional_int(raw: str) -> Optional[int]:
+    return None if raw.lower() in ("none", "null") else int(raw)
 
 
-def _default_faults_seed() -> int:
-    """Fault-injection seed; HIVE_FAULTS_SEED lets a whole test run opt
-    in (the CI ``faults`` job replays the tier-1 suite under injection)."""
-    return int(os.environ.get("HIVE_FAULTS_SEED", "0"))
+#: field annotation -> (parser of a SET value, raising ValueError or
+#: KeyError on a bad one; what the error message says was expected)
+_KNOB_TYPES = {
+    "bool": (lambda raw: _BOOL_SPELLINGS[raw.lower()],
+             "a boolean (true/false, 1/0, yes/no, on/off)"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "Optional[int]": (_optional_int, "an integer or none"),
+}
 
 
-def _default_faults_rate() -> float:
-    """Default task-failure / IO-error rate, from HIVE_FAULTS_RATE."""
-    return float(os.environ.get("HIVE_FAULTS_RATE", "0"))
+@dataclass(frozen=True)
+class Knob:
+    """One ``SET``-able :class:`HiveConf` field, built from its
+    :func:`knob` declaration.  SET lookup and coercion, the range checks
+    of ``validate()``, mirroring into the server conf, the plan-cache
+    digest's field list and the README reference all derive from these
+    records."""
+
+    attr: str
+    type: str                  # the field's annotation, a _KNOB_TYPES key
+    default: object
+    doc: str
+    names: tuple = ()          # hive.* SET names; ``attr`` always works too
+    env: str = ""              # environment variable overriding the default
+    scope: str = "session"     # "server": one live value for every session
+    plan: bool = False         # changes the shape of an optimized plan
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    lt: Optional[float] = None
+    choices: tuple = ()
+
+    def parse(self, key: str, raw: str):
+        """Typed value of ``SET key=raw``."""
+        parser, expected = _KNOB_TYPES[self.type]
+        try:
+            return parser(raw)
+        except (KeyError, ValueError):
+            raise AnalysisError(f"invalid value {raw!r} for {key}: "
+                                f"expected {expected}") from None
+
+    @property
+    def bounds(self) -> str:
+        """The accepted range, ``""`` when any value of the type is."""
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        low = self.gt if self.ge is None else self.ge
+        high = self.lt if self.le is None else self.le
+        if low is None:
+            return ""
+        if high is None:
+            return f"{'>' if self.ge is None else '>='} {low}"
+        return (f"{'(' if self.ge is None else '['}{low}, "
+                f"{high}{')' if self.le is None else ']'}")
+
+    def check(self, value) -> None:
+        if self.choices:
+            ok = value in self.choices
+        else:
+            ok = value is None or (
+                (self.ge is None or value >= self.ge)
+                and (self.gt is None or value > self.gt)
+                and (self.le is None or value <= self.le)
+                and (self.lt is None or value < self.lt))
+        if not ok:
+            raise ConfigError(
+                f"{self.attr} must be {self.bounds}, got {value!r}")
+
+
+def knob(default, *names: str, doc: str, env: str = "", **spec):
+    """Declare a :class:`HiveConf` field as a knob (see :class:`Knob`).
+
+    ``names`` are its ``hive.*`` SET names; ``env`` names an environment
+    variable that, when set, replaces ``default`` for a whole process
+    (CI replays the suite under plan checking and fault injection)."""
+    meta = {"knob": dict(default=default, names=names, doc=doc, env=env,
+                         **spec)}
+    if env:
+        return field(metadata=meta, default_factory=lambda: type(default)(
+            os.environ.get(env, default)))
+    return field(metadata=meta, default=default)
 
 
 @dataclass
@@ -102,7 +179,13 @@ class CostModelConf:
 
 @dataclass
 class HiveConf:
-    """Complete configuration for one warehouse instance or session."""
+    """Complete configuration for one warehouse instance or session.
+
+    Every scalar field is declared with :func:`knob` and is SET-able by
+    its field name and its ``hive.*`` names; :data:`NOT_SETTABLE` lists
+    the rest.  README's "Configuration reference" is generated from
+    these declarations (``tools/knob_docs``).
+    """
 
     # ------------------------------------------------------------------ #
     # identification
@@ -110,181 +193,245 @@ class HiveConf:
 
     # ------------------------------------------------------------------ #
     # SQL surface (Figure 7: legacy Hive 1.2 lacked these)
-    support_setops: bool = True           # INTERSECT / EXCEPT
-    support_correlated_subqueries: bool = True
-    support_nonequi_correlation: bool = True
-    support_interval_notation: bool = True
-    support_order_by_unselected: bool = True
-    support_grouping_sets: bool = True
-    support_window_functions: bool = True
+    support_setops: bool = knob(True, doc="INTERSECT / EXCEPT")
+    support_nonequi_correlation: bool = knob(
+        True, doc="correlated subqueries with non-equality predicates")
+    support_interval_notation: bool = knob(
+        True, doc="INTERVAL 'n' unit literals")
+    support_order_by_unselected: bool = knob(
+        True, doc="ORDER BY a column the select list dropped")
+    support_grouping_sets: bool = knob(
+        True, doc="GROUPING SETS / ROLLUP / CUBE")
 
     # ------------------------------------------------------------------ #
     # optimizer (Section 4)
-    cbo_enabled: bool = True              # Calcite-style cost-based stages
-    join_reordering: bool = True
-    filter_pushdown: bool = True
-    project_pruning: bool = True
-    constant_folding: bool = True
-    partition_pruning: bool = True
-    shared_work_optimization: bool = True  # Section 4.5
-    semijoin_reduction: bool = True        # Section 4.6
-    semijoin_bloom_fpp: float = 0.05
-    mv_rewriting: bool = True              # Section 4.4
-    federation_pushdown: bool = True       # Section 6.2
-    #: plan-invariant validation (repro.lint.plan_check):
-    #: "off" | "on" (validate after every optimizer stage) |
-    #: "paranoid" (validate after every individual rule too)
-    check_plan: str = field(default_factory=_default_check_plan)
-    #: escalates ``check_plan`` to paranoid regardless of its value
-    check_plan_paranoid: bool = False
+    cbo_enabled: bool = knob(
+        True, "hive.cbo.enable", plan=True,
+        doc="Calcite-style cost-based stages")
+    join_reordering: bool = knob(
+        True, "hive.auto.convert.join", plan=True,
+        doc="cost-based join reordering")
+    filter_pushdown: bool = knob(
+        True, plan=True, doc="push predicates towards the scans")
+    project_pruning: bool = knob(
+        True, plan=True, doc="drop unreferenced columns")
+    constant_folding: bool = knob(
+        True, plan=True, doc="evaluate constant expressions at compile")
+    partition_pruning: bool = knob(
+        True, plan=True, doc="skip partitions a predicate excludes")
+    shared_work_optimization: bool = knob(
+        True, "hive.optimize.shared.work", plan=True,
+        doc="merge identical scan subtrees (Section 4.5)")
+    semijoin_reduction: bool = knob(
+        True, "hive.optimize.semijoin.reduction", plan=True,
+        doc="dynamic semijoin reduction (Section 4.6)")
+    semijoin_bloom_fpp: float = knob(
+        0.05, plan=True, gt=0.0, lt=1.0,
+        doc="false-positive rate of the semijoin Bloom filters")
+    mv_rewriting: bool = knob(
+        True, "hive.materializedview.rewriting", plan=True,
+        doc="rewrite queries over materialized views (Section 4.4)")
+    federation_pushdown: bool = knob(
+        True, plan=True,
+        doc="push computation to storage handlers (Section 6.2)")
+    check_plan: str = knob(
+        "off", "hive.check.plan", env="HIVE_CHECK_PLAN",
+        doc="plan-invariant validation (repro.lint.plan_check): off, "
+            "on (after every optimizer stage) or paranoid (after every "
+            "individual rule too); true/false synonyms accepted")
 
     # ------------------------------------------------------------------ #
-    # re-optimization (Section 4.2): "overlay" | "reoptimize" | "off"
-    reexecution_strategy: str = "reoptimize"
-    max_reexecutions: int = 1
+    # re-optimization (Section 4.2)
+    reexecution_strategy: str = knob(
+        "reoptimize", "hive.query.reexecution.strategy",
+        choices=("overlay", "reoptimize", "off"),
+        doc="what a retriable vertex failure triggers: re-run under "
+            "reexecution_overlay, re-plan with the captured runtime "
+            "statistics, or fail")
     #: config overrides applied on every re-execution (overlay strategy)
     reexecution_overlay: dict = field(default_factory=dict)
-    #: feed runtime statistics persisted in HMS back into the optimizer
-    #: on every compilation (§9 roadmap).  Off by default: observed
-    #: cardinalities go stale when data changes, so opting in is a
-    #: workload decision (the paper cites LEO / Oracle adaptive stats).
-    runtime_stats_feedback: bool = False
-    #: simulated per-query memory budget for hash-join build sides, in
-    #: rows; None = unlimited.  Exceeding it raises OutOfMemoryError,
-    #: which triggers re-execution.
-    hash_join_memory_rows: Optional[int] = None
+    runtime_stats_feedback: bool = knob(
+        False,
+        doc="feed runtime statistics persisted in HMS back into the "
+            "optimizer on every compilation (§9 roadmap).  Off: "
+            "observed cardinalities go stale when data changes, so "
+            "opting in is a workload decision (LEO / Oracle adaptive "
+            "stats)")
+    hash_join_memory_rows: Optional[int] = knob(
+        None, plan=True,
+        doc="simulated per-query memory budget for hash-join build "
+            "sides, in rows; none = unlimited.  Exceeding it raises "
+            "OutOfMemoryError, which triggers re-execution")
 
     # ------------------------------------------------------------------ #
     # result cache (Section 4.3)
-    results_cache_enabled: bool = True
-    results_cache_max_entries: int = 64
-    results_cache_wait_pending: bool = True
+    results_cache_enabled: bool = knob(
+        True, "hive.query.results.cache.enabled",
+        doc="serve identical queries over unchanged data from the "
+            "server-wide results cache")
 
     # ------------------------------------------------------------------ #
-    # serving layer (repro.service — the HiveServer2 front door).
-    # All knobs are SET-able under their hive.server2.* aliases.
-    #: virtual seconds a pooled session may sit idle before the
-    #: housekeeper tick expires it (hive.server2.session.ttl.s)
-    server2_session_ttl_s: float = 600.0
-    #: open-session quota per tenant (hive.server2.tenant.max.sessions)
-    server2_max_sessions_per_tenant: int = 64
-    #: wall-clock seconds a submission may wait in the admission queue
-    #: before it is rejected (hive.server2.admission.queue.timeout.s)
-    server2_queue_timeout_s: float = 30.0
-    #: run-slot limit for pools with no active WM resource plan, and
-    #: for the implicit "default" pool (hive.server2.default.parallelism)
-    server2_default_parallelism: int = 8
-    #: compiled plan cache: repeated statements skip parse/analyze/
-    #: optimize (hive.server2.plan.cache.enabled)
-    plan_cache_enabled: bool = True
-    #: LRU bound on compiled plans (hive.server2.plan.cache.max.entries)
-    plan_cache_max_entries: int = 256
+    # serving layer (repro.service — the HiveServer2 front door)
+    server2_session_ttl_s: float = knob(
+        600.0, "hive.server2.session.ttl.s", scope="server", gt=0.0,
+        doc="virtual seconds a pooled session may sit idle before the "
+            "housekeeper tick expires it")
+    server2_max_sessions_per_tenant: int = knob(
+        64, "hive.server2.tenant.max.sessions", scope="server", ge=1,
+        doc="open-session quota per tenant")
+    server2_queue_timeout_s: float = knob(
+        30.0, "hive.server2.admission.queue.timeout.s", scope="server",
+        gt=0.0,
+        doc="wall-clock seconds a submission may wait in the admission "
+            "queue before it is rejected")
+    server2_default_parallelism: int = knob(
+        8, "hive.server2.default.parallelism", scope="server", ge=1,
+        doc="run-slot limit for pools with no active WM resource plan, "
+            "and for the implicit default pool")
+    plan_cache_enabled: bool = knob(
+        True, "hive.server2.plan.cache.enabled",
+        doc="compiled plan cache: repeated statements skip parse/"
+            "analyze/optimize.  Session-scoped by design — it gates "
+            "this session's lookups, like results_cache_enabled")
+    plan_cache_max_entries: int = knob(
+        256, "hive.server2.plan.cache.max.entries", scope="server", ge=1,
+        doc="LRU bound on compiled plans")
 
     # ------------------------------------------------------------------ #
     # runtime (Section 5)
-    vectorized_execution: bool = True
-    #: lower expressions once per plan into fused numpy kernels
-    #: (hive.vectorized.compile.enabled); off = per-batch interpreter
-    vectorized_compile: bool = True
-    #: fuse Filter->Project so the selection mask is applied only to
-    #: projected columns (hive.vectorized.fusion.enabled)
-    vectorized_fusion: bool = True
-    llap_enabled: bool = True
-    llap_cache_enabled: bool = True
-    llap_io_threads: int = 4
-    llap_executors_per_daemon: int = 8
-    llap_cache_capacity_bytes: int = 512 << 20
-    container_reuse: bool = False          # Tez container reuse w/o LLAP
+    vectorized_execution: bool = knob(
+        True, "hive.vectorized.execution.enabled", plan=True,
+        doc="columnar operator execution (cost-model era toggle)")
+    vectorized_compile: bool = knob(
+        True, "hive.vectorized.compile.enabled",
+        doc="lower expressions once per plan into fused numpy kernels; "
+            "off = per-batch interpreter")
+    vectorized_fusion: bool = knob(
+        True, "hive.vectorized.fusion.enabled",
+        doc="fuse Filter->Project so the selection mask is applied "
+            "only to projected columns")
+    llap_enabled: bool = knob(
+        True, "hive.llap.execution.mode", "hive.llap.enabled", plan=True,
+        doc="run fragments on long-lived LLAP daemons instead of fresh "
+            "Tez containers")
+    llap_cache_enabled: bool = knob(
+        True, "hive.llap.io.enabled",
+        doc="read through the LLAP in-memory data cache")
+    llap_cache_capacity_bytes: int = knob(
+        512 << 20, doc="LLAP data cache size, read at server start")
 
     # ------------------------------------------------------------------ #
     # observability (repro.obs)
-    #: ring-buffer capacity of the in-memory query log; evicted entries
-    #: spill to the overflow store so ``sys.query_log`` stays complete
-    obs_query_log_capacity: int = 1000
-    #: a vertex is flagged a straggler when its modeled
-    #: max-task/median-task duration ratio reaches this factor
-    straggler_skew_threshold: float = 2.0
-    #: monitor endpoint port; > 0 starts the HTTP server at that port
-    #: on warehouse construction, 0 leaves it to an explicit
-    #: ``obs.start_http()`` call (which binds an ephemeral port)
-    monitor_http_port: int = 0
-    #: virtual seconds between cluster-state timeseries samples
-    #: (<= 0 disables interval sampling; ``/metrics`` scrapes still
-    #: record scrape-time samples)
-    monitor_sample_interval_s: float = 5.0
-    #: ring-buffer capacity per timeseries label-series
-    monitor_timeseries_capacity: int = 512
-    #: lock sanitizer long-hold threshold in wall seconds
-    #: (``hive.lint.sanitize.longhold.s``): a sanitized lock held
-    #: longer than this is reported in ``sys.lint_findings``.  Only
-    #: consulted when the process runs under ``HIVE_SANITIZE=1``.
-    lint_sanitize_longhold_s: float = 5.0
-    #: query store (fingerprint-level workload history; sys.query_store)
-    qstore_enabled: bool = True
-    #: max fingerprints retained (LRU on last virtual use)
-    qstore_capacity: int = 512
-    #: virtual seconds per latency window; samples from completed
-    #: windows form the per-fingerprint regression baseline
-    qstore_window_s: float = 300.0
-    #: regression fires when current-window p95 exceeds baseline p95
-    #: by more than this factor
-    qstore_regression_threshold: float = 1.5
-    #: minimum samples required on both sides before comparing
-    qstore_regression_min_samples: int = 5
-    #: bound on deduplicated findings in sys.query_store_events
-    qstore_max_events: int = 512
-    #: column-level lineage extraction (``hive.lineage.enabled``);
-    #: when off, post-exec hooks skip the plan walk
-    lineage_enabled: bool = True
-    #: max statement fingerprints retained in the lineage graph
-    #: (``hive.lineage.capacity``, LRU on last record)
-    lineage_capacity: int = 512
-    #: ring-buffer capacity of the per-tenant audit log
-    #: (``hive.audit.capacity``); evicted records spill to the
-    #: overflow store so ``sys.audit_log`` stays complete
-    audit_capacity: int = 1000
-    #: wall-clock budget per execution hook (``hive.hook.timeout.s``);
-    #: a hook exceeding it is quarantined for subsequent statements
-    hook_timeout_s: float = 1.0
+    obs_query_log_capacity: int = knob(
+        1000, "hive.obs.query.log.capacity", scope="server", ge=1,
+        doc="ring-buffer capacity of the in-memory query log; evicted "
+            "entries spill to the overflow store so sys.query_log "
+            "stays complete")
+    straggler_skew_threshold: float = knob(
+        2.0, "hive.obs.straggler.skew.threshold", gt=1.0,
+        doc="a vertex is flagged a straggler when its modeled max-task"
+            "/median-task duration ratio reaches this factor")
+    monitor_http_port: int = knob(
+        0, "hive.monitor.http.port", scope="server", ge=0, le=65535,
+        doc="monitor endpoint port; > 0 starts the HTTP server at that "
+            "port, 0 leaves it to an explicit obs.start_http() (which "
+            "binds an ephemeral port)")
+    monitor_sample_interval_s: float = knob(
+        5.0, "hive.monitor.sample.interval.s", scope="server",
+        doc="virtual seconds between cluster-state timeseries samples "
+            "(<= 0 disables interval sampling; /metrics scrapes still "
+            "record scrape-time samples)")
+    lint_sanitize_longhold_s: float = knob(
+        5.0, "hive.lint.sanitize.longhold.s", scope="server", gt=0.0,
+        doc="lock sanitizer long-hold threshold in wall seconds: a "
+            "sanitized lock held longer is reported in "
+            "sys.lint_findings.  Only consulted under HIVE_SANITIZE=1")
+    qstore_enabled: bool = knob(
+        True, "hive.query.store.enabled", scope="server",
+        doc="record statements in the query store (sys.query_store) "
+            "at all")
+    qstore_capacity: int = knob(
+        512, "hive.query.store.capacity", scope="server", ge=1,
+        doc="fingerprints retained (LRU on last virtual use)")
+    qstore_window_s: float = knob(
+        300.0, "hive.query.store.window.s", scope="server", gt=0.0,
+        doc="virtual seconds per latency window; samples from "
+            "completed windows form the per-fingerprint regression "
+            "baseline")
+    qstore_regression_threshold: float = knob(
+        1.5, "hive.query.store.regression.threshold", scope="server",
+        gt=1.0,
+        doc="a regression fires when current-window p95 exceeds "
+            "baseline p95 by more than this factor")
+    qstore_regression_min_samples: int = knob(
+        5, "hive.query.store.regression.min.samples", scope="server",
+        ge=1, doc="samples required on both sides before comparing")
+    lineage_enabled: bool = knob(
+        True, "hive.lineage.enabled", scope="server",
+        doc="column-level lineage extraction; when off, post-exec "
+            "hooks skip the plan walk")
+    lineage_capacity: int = knob(
+        512, "hive.lineage.capacity", scope="server", ge=1,
+        doc="statement fingerprints retained in the lineage graph "
+            "(LRU on last record)")
+    audit_capacity: int = knob(
+        1000, "hive.audit.capacity", scope="server", ge=1,
+        doc="ring-buffer capacity of the per-tenant audit log; evicted "
+            "records spill to the overflow store so sys.audit_log "
+            "stays complete")
+    hook_timeout_s: float = knob(
+        1.0, "hive.hook.timeout.s", scope="server", gt=0.0,
+        doc="wall-clock budget per execution hook; a hook exceeding "
+            "it is quarantined for subsequent statements")
 
     # ------------------------------------------------------------------ #
     # ACID (Section 3.2)
-    acid_enabled: bool = True
-    compaction_delta_threshold: int = 10   # minor compaction trigger
-    compaction_delta_pct_threshold: float = 0.1  # major trigger: delta/base rows
-    txn_lock_timeout_s: float = 5.0
-    #: virtual seconds without a heartbeat before AcidHouseKeeper aborts
-    #: an open transaction and releases its locks
-    txn_timeout_s: float = 300.0
-    #: bound on how long a caller waits on a pending results-cache entry
-    #: before presuming the elected computer dead and computing itself
-    results_cache_pending_timeout_s: float = 30.0
+    acid_enabled: bool = knob(
+        True, doc="managed ORC tables are transactional unless "
+                  "TBLPROPERTIES says otherwise")
+    compaction_delta_threshold: int = knob(
+        10, doc="delta directories that trigger a minor compaction")
+    txn_timeout_s: float = knob(
+        300.0, "hive.txn.timeout.s", scope="server", gt=0.0,
+        doc="virtual seconds without a heartbeat before "
+            "AcidHouseKeeper aborts an open transaction and releases "
+            "its locks")
 
     # ------------------------------------------------------------------ #
     # fault injection & recovery (repro.faults; §3.2/§4 failure paths).
-    # Rates are probabilities in [0, 1]; decisions are deterministic in
+    # Rates are probabilities; decisions are deterministic in
     # ``faults_seed`` so injected runs are reproducible.
-    faults_seed: int = field(default_factory=_default_faults_seed)
-    faults_task_fail_rate: float = field(default_factory=_default_faults_rate)
-    faults_io_error_rate: float = field(default_factory=_default_faults_rate)
-    faults_node_fail_rate: float = 0.0
-    faults_slow_node_rate: float = 0.0
-    faults_slow_node_multiplier: float = 4.0
-    faults_lock_stall_rate: float = 0.0
-    #: bounded task attempts (1 initial + up to N-1 retries); the final
-    #: attempt always succeeds (blacklisting), so faults cost time only
-    task_max_attempts: int = 4
-    #: base for the exponential retry backoff charged into virtual time
-    task_retry_backoff_s: float = 0.1
-    #: launch a backup attempt for injected stragglers (Tez speculation);
-    #: acts only on fault-injected slowness, never on data skew, so it is
-    #: a no-op in fault-free runs
-    speculative_execution: bool = True
+    faults_seed: int = knob(
+        0, "hive.faults.seed", env="HIVE_FAULTS_SEED", scope="server",
+        doc="seed for every fault decision")
+    faults_task_fail_rate: float = knob(
+        0.0, "hive.faults.task.fail.rate", env="HIVE_FAULTS_RATE",
+        ge=0.0, le=1.0, doc="Tez task attempt failure probability")
+    faults_io_error_rate: float = knob(
+        0.0, "hive.faults.io.error.rate", env="HIVE_FAULTS_RATE",
+        scope="server", ge=0.0, le=1.0,
+        doc="file-read error probability (the re-read is charged)")
+    faults_node_fail_rate: float = knob(
+        0.0, "hive.faults.node.fail.rate", ge=0.0, le=1.0,
+        doc="per-query LLAP daemon death probability")
+    faults_slow_node_rate: float = knob(
+        0.0, "hive.faults.slow.node.rate", ge=0.0, le=1.0,
+        doc="per-task slow-node probability")
+    faults_slow_node_multiplier: float = knob(
+        4.0, "hive.faults.slow.node.multiplier", ge=1.0,
+        doc="duration multiplier for slowed tasks")
+    faults_lock_stall_rate: float = knob(
+        0.0, "hive.faults.lock.stall.rate", ge=0.0, le=1.0,
+        doc="probability a transaction's client stalls holding locks")
+    speculative_execution: bool = knob(
+        True, "hive.tez.speculative.execution",
+        doc="launch a backup attempt for injected stragglers (Tez "
+            "speculation); acts only on fault-injected slowness, never "
+            "on data skew, so it is a no-op in fault-free runs")
 
     # ------------------------------------------------------------------ #
     # cluster shape (matches the paper's testbed by default)
-    num_nodes: int = 10
-    cores_per_node: int = 8
+    num_nodes: int = knob(10, ge=1, doc="worker nodes of the cluster")
 
     cost: CostModelConf = field(default_factory=CostModelConf)
 
@@ -309,90 +456,13 @@ class HiveConf:
             raise ConfigError(
                 f"invalid check_plan value {self.check_plan!r}: expected "
                 "one of off/on/paranoid (or true/false synonyms)")
-        if self.check_plan_paranoid:
-            return "paranoid"
         return mode
 
     def validate(self) -> None:
-        if self.reexecution_strategy not in ("overlay", "reoptimize", "off"):
-            raise ConfigError(
-                f"invalid reexecution_strategy {self.reexecution_strategy!r}")
-        self.plan_check_mode   # raises ConfigError on a bad check_plan
-        if not isinstance(self.check_plan_paranoid, bool):
-            raise ConfigError(
-                "check_plan_paranoid must be a boolean, got "
-                f"{self.check_plan_paranoid!r}")
-        if not 0.0 < self.semijoin_bloom_fpp < 1.0:
-            raise ConfigError("semijoin_bloom_fpp must be in (0, 1)")
-        if self.num_nodes < 1 or self.cores_per_node < 1:
-            raise ConfigError("cluster must have >= 1 node and >= 1 core")
-        if self.max_reexecutions < 0:
-            raise ConfigError("max_reexecutions must be >= 0")
-        if self.obs_query_log_capacity < 1:
-            raise ConfigError("obs_query_log_capacity must be >= 1")
-        if self.straggler_skew_threshold <= 1.0:
-            raise ConfigError(
-                "straggler_skew_threshold must be > 1.0 (ratio of max "
-                "to median task duration)")
-        if not 0 <= self.monitor_http_port <= 65535:
-            raise ConfigError(
-                "monitor_http_port must be in [0, 65535]")
-        if self.monitor_timeseries_capacity < 2:
-            raise ConfigError(
-                "monitor_timeseries_capacity must be >= 2 (rate() "
-                "needs two samples)")
-        if self.lint_sanitize_longhold_s <= 0:
-            raise ConfigError(
-                "lint_sanitize_longhold_s must be > 0 (wall seconds)")
-        if self.qstore_capacity < 1:
-            raise ConfigError("qstore_capacity must be >= 1")
-        if self.qstore_window_s <= 0.0:
-            raise ConfigError(
-                "qstore_window_s must be > 0 (virtual seconds)")
-        if self.qstore_regression_threshold <= 1.0:
-            raise ConfigError(
-                "qstore_regression_threshold must be > 1.0 (a ratio "
-                "of current to baseline p95)")
-        if self.qstore_regression_min_samples < 1:
-            raise ConfigError(
-                "qstore_regression_min_samples must be >= 1")
-        if self.qstore_max_events < 1:
-            raise ConfigError("qstore_max_events must be >= 1")
-        if self.lineage_capacity < 1:
-            raise ConfigError("lineage_capacity must be >= 1")
-        if self.audit_capacity < 1:
-            raise ConfigError("audit_capacity must be >= 1")
-        if self.hook_timeout_s <= 0.0:
-            raise ConfigError(
-                "hook_timeout_s must be > 0 (wall seconds)")
-        for rate_name in ("faults_task_fail_rate", "faults_io_error_rate",
-                          "faults_node_fail_rate", "faults_slow_node_rate",
-                          "faults_lock_stall_rate"):
-            rate = getattr(self, rate_name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(
-                    f"{rate_name} must be in [0, 1], got {rate!r}")
-        if self.faults_slow_node_multiplier < 1.0:
-            raise ConfigError("faults_slow_node_multiplier must be >= 1.0")
-        if self.task_max_attempts < 1:
-            raise ConfigError("task_max_attempts must be >= 1")
-        if self.task_retry_backoff_s < 0.0:
-            raise ConfigError("task_retry_backoff_s must be >= 0")
-        if self.txn_timeout_s <= 0.0:
-            raise ConfigError("txn_timeout_s must be > 0")
-        if self.results_cache_pending_timeout_s <= 0.0:
-            raise ConfigError("results_cache_pending_timeout_s must be > 0")
-        if self.server2_session_ttl_s <= 0.0:
-            raise ConfigError("server2_session_ttl_s must be > 0")
-        if self.server2_max_sessions_per_tenant < 1:
-            raise ConfigError(
-                "server2_max_sessions_per_tenant must be >= 1")
-        if self.server2_queue_timeout_s <= 0.0:
-            raise ConfigError("server2_queue_timeout_s must be > 0")
-        if self.server2_default_parallelism < 1:
-            raise ConfigError("server2_default_parallelism must be >= 1")
-        if self.plan_cache_max_entries < 1:
-            raise ConfigError("plan_cache_max_entries must be >= 1")
+        for checked in _BOUNDED_KNOBS:
+            checked.check(getattr(self, checked.attr))
+        # case-insensitive with synonyms: not a plain choice list
+        self.plan_check_mode
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -416,12 +486,10 @@ class HiveConf:
         return cls(
             name="hive-1.2",
             support_setops=False,
-            support_correlated_subqueries=True,
             support_nonequi_correlation=False,
             support_interval_notation=False,
             support_order_by_unselected=False,
             support_grouping_sets=False,
-            support_window_functions=True,
             cbo_enabled=False,
             join_reordering=False,
             shared_work_optimization=False,
@@ -436,3 +504,16 @@ class HiveConf:
             llap_cache_enabled=False,
             acid_enabled=False,
         )
+
+
+#: HiveConf fields ``SET`` refuses: not scalars
+NOT_SETTABLE = ("name", "reexecution_overlay", "cost")
+
+#: every knob, in declaration order
+KNOBS = tuple(Knob(attr=f.name, type=f.type, **f.metadata["knob"])
+              for f in dataclasses.fields(HiveConf) if "knob" in f.metadata)
+
+#: SET key (field name or ``hive.*`` name, lower case) -> its knob
+SET_NAMES = {name: k for k in KNOBS for name in (k.attr, *k.names)}
+
+_BOUNDED_KNOBS = tuple(k for k in KNOBS if k.bounds)

@@ -14,7 +14,7 @@ Sites in use across the stack:
 ``fs.read``      simulated IO read error; the reader re-opens and
                  re-reads, charging the full transfer per attempt
 ``task.fail``    task attempt failure in a Tez vertex; retried with
-                 exponential backoff up to ``task_max_attempts``
+                 exponential backoff up to ``tez.TASK_MAX_ATTEMPTS``
 ``task.slow``    slow node: a task's modeled duration is multiplied
                  by ``faults_slow_node_multiplier``
 ``speculation``  backup attempt launched for an injected straggler
@@ -90,7 +90,6 @@ class FaultRegistry:
     def from_conf(cls, conf, metrics=None) -> "FaultRegistry":
         return cls(seed=conf.faults_seed,
                    io_error_rate=conf.faults_io_error_rate,
-                   max_io_retries=max(0, conf.task_max_attempts - 1),
                    metrics=metrics)
 
     # ------------------------------------------------------------------ #

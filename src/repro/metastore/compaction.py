@@ -50,11 +50,13 @@ class CompactionRequest:
 def should_compact(delta_count: int, delete_delta_count: int,
                    delta_rows: int, base_rows: int,
                    delta_threshold: int,
-                   delta_pct_threshold: float) -> CompactionType | None:
+                   delta_pct_threshold: float = 0.1
+                   ) -> CompactionType | None:
     """The initiator's policy.
 
     Returns the compaction type warranted by the current state, or None.
-    Major compaction wins when delta data is large relative to the base;
+    Major compaction wins when delta data is large relative to the base
+    (``delta_pct_threshold`` of its rows);
     otherwise a pile-up of small delta directories warrants a minor pass.
     """
     total_deltas = delta_count + delete_delta_count

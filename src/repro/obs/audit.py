@@ -8,20 +8,18 @@ and the per-table column sets the statement actually touched (post
 column pruning), the rows it returned, and how long admission made it
 wait.
 
-Retention mirrors the query log: a bounded in-memory ring
-(``hive.audit.capacity``) whose evicted records spill to an
-:class:`AuditOverflow` store (optionally file-persisted as JSON lines),
-so ``sys.audit_log`` still covers long multi-tenant workloads.
+Retention is the query log's :class:`~repro.obs.query_log.RingLog`: a
+bounded in-memory ring (``hive.audit.capacity``) whose evicted records
+spill to a store (optionally file-persisted as JSON lines), so
+``sys.audit_log`` still covers long multi-tenant workloads.
 """
 
 from __future__ import annotations
 
-import json
-
-from ..common import sync
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from .query_log import RingLog
 
 
 @dataclass
@@ -69,109 +67,10 @@ class AuditRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-class AuditOverflow:
-    """Spill store for records evicted from the audit ring.
+class AuditLog(RingLog):
+    """The per-tenant audit trail of one server."""
 
-    With a ``path`` the store persists records as append-only JSON
-    lines; without one it keeps them in memory, which still makes
-    ``sys.audit_log`` complete for long in-process workloads.
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._lock = sync.new_lock('AuditOverflow._lock')
-        self._memory: list[AuditRecord] = []
-        self.spilled = 0
-
-    def append(self, record: AuditRecord) -> None:
-        with self._lock:
-            self.spilled += 1
-            if self.path is None:
-                self._memory.append(record)
-                return
-            with open(self.path, "a", encoding="utf-8") as sink:
-                sink.write(json.dumps(record.to_dict(), default=str))
-                sink.write("\n")
-
-    def entries(self) -> list[AuditRecord]:
-        with self._lock:
-            if self.path is None:
-                return list(self._memory)
-            try:
-                with open(self.path, encoding="utf-8") as source:
-                    return [AuditRecord.from_dict(json.loads(line))
-                            for line in source if line.strip()]
-            except FileNotFoundError:
-                return []
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memory.clear()
-            self.spilled = 0
-            if self.path is not None:
-                with open(self.path, "w", encoding="utf-8"):
-                    pass
-
-
-class AuditLog:
-    """Bounded, thread-safe, append-only per-tenant audit trail.
-
-    The newest ``capacity`` records stay in the ring; older ones move to
-    the overflow store on eviction instead of vanishing.
-    """
-
-    def __init__(self, capacity: int = 1000,
-                 overflow: Optional[AuditOverflow] = None):
-        self._lock = sync.new_lock('AuditLog._lock')
-        self._capacity = max(1, int(capacity))
-        self._records: deque[AuditRecord] = deque()
-        self.recorded = 0
-        self.overflow = overflow if overflow is not None else AuditOverflow()
-
-    @property
-    def capacity(self) -> int:
-        with self._lock:
-            return self._capacity
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the ring; shrinking spills the excess immediately."""
-        with self._lock:
-            self._capacity = max(1, int(capacity))
-            self._spill_excess()
-
-    def _spill_excess(self) -> None:
-        # caller holds self._lock; overflow carries its own lock
-        while len(self._records) > self._capacity:
-            self.overflow.append(  # reprolint: disable=RL001
-                self._records.popleft())
-
-    def append(self, record: AuditRecord) -> None:
-        with self._lock:
-            self.recorded += 1
-            self._records.append(record)
-            self._spill_excess()
-
-    def entries(self) -> list[AuditRecord]:
-        """The in-memory ring only (newest ``capacity`` records)."""
-        with self._lock:
-            return list(self._records)
-
-    def all_entries(self) -> list[AuditRecord]:
-        """Spilled + ring records, oldest first — what sys tables read."""
-        spilled = self.overflow.entries()
-        with self._lock:
-            return spilled + list(self._records)
+    record_type = AuditRecord
 
     def by_tenant(self, tenant: str) -> list[AuditRecord]:
         return [r for r in self.all_entries() if r.tenant == tenant]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.recorded = 0
-        # overflow synchronizes itself; don't nest its lock under ours
-        self.overflow.clear()  # reprolint: disable=RL001

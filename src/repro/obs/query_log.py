@@ -7,16 +7,16 @@ style).
 
 Retention: the in-memory ring is bounded (``hive.obs.query.log.capacity``)
 but evicted entries are not lost — they spill to a
-:class:`QueryLogOverflow` store (optionally file-persisted as JSON
-lines), so ``sys.query_log`` still covers long workloads.  Entries also
-carry the per-vertex and per-operator profile rows that back
-``sys.vertex_log`` and ``sys.operator_log``.
+:class:`SpillStore` (optionally file-persisted as JSON lines), so
+``sys.query_log`` still covers long workloads.  The ring and the store
+are generic in the record type; the audit log is the other user.
+Entries also carry the per-vertex and per-operator profile rows that
+back ``sys.vertex_log`` and ``sys.operator_log``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 from ..common import sync
 from collections import deque
@@ -82,38 +82,40 @@ class QueryLogEntry:
         return entry
 
 
-class QueryLogOverflow:
-    """Spill store for entries evicted from the ring buffer.
+class SpillStore:
+    """Spill store for records evicted from a :class:`RingLog`.
 
-    With a ``path`` the store persists entries as append-only JSON lines
+    With a ``path`` the store persists records as append-only JSON lines
     (one file per server, survives the process); without one it keeps
-    them in memory, which still makes ``sys.query_log`` complete for
-    long in-process workloads.
+    them in memory, which still makes the ``sys`` table complete for
+    long in-process workloads.  ``record_type`` supplies the
+    ``to_dict`` / ``from_dict`` pair of the JSONL form.
     """
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, record_type: type, path: Optional[str] = None):
+        self.record_type = record_type
         self.path = path
-        self._lock = sync.new_lock('QueryLogOverflow._lock')
-        self._memory: list[QueryLogEntry] = []
+        self._lock = sync.new_lock('SpillStore._lock')
+        self._memory: list = []
         self.spilled = 0
 
-    def append(self, entry: QueryLogEntry) -> None:
+    def append(self, record) -> None:
         with self._lock:
             self.spilled += 1
             if self.path is None:
-                self._memory.append(entry)
+                self._memory.append(record)
                 return
             with open(self.path, "a", encoding="utf-8") as sink:
-                sink.write(json.dumps(entry.to_dict(), default=str))
+                sink.write(json.dumps(record.to_dict(), default=str))
                 sink.write("\n")
 
-    def entries(self) -> list[QueryLogEntry]:
+    def entries(self) -> list:
         with self._lock:
             if self.path is None:
                 return list(self._memory)
             try:
                 with open(self.path, encoding="utf-8") as source:
-                    return [QueryLogEntry.from_dict(json.loads(line))
+                    return [self.record_type.from_dict(json.loads(line))
                             for line in source if line.strip()]
             except FileNotFoundError:
                 return []
@@ -127,20 +129,24 @@ class QueryLogOverflow:
                     pass
 
 
-class QueryLog:
-    """Bounded, thread-safe, append-only log of executed statements.
+class RingLog:
+    """Bounded, thread-safe, append-only log of ``record_type`` records.
 
-    The newest ``capacity`` entries stay in the ring; older ones move to
-    the overflow store on eviction instead of vanishing.
+    The newest ``capacity`` records stay in the ring; older ones move to
+    the overflow store on eviction instead of vanishing.  Subclasses
+    name the record type (:class:`QueryLog`, ``repro.obs.audit.AuditLog``).
     """
 
+    record_type: type
+
     def __init__(self, capacity: int = 1000,
-                 overflow: Optional[QueryLogOverflow] = None):
-        self._lock = sync.new_lock('QueryLog._lock')
+                 overflow_path: Optional[str] = None):
+        self._lock = sync.new_lock('RingLog._lock')
         self._capacity = max(1, int(capacity))
-        self._entries: deque[QueryLogEntry] = deque()
-        self.overflow = overflow if overflow is not None \
-            else QueryLogOverflow()
+        self._entries: deque = deque()
+        #: records ever appended (ring + spilled)
+        self.recorded = 0
+        self.overflow = SpillStore(self.record_type, overflow_path)
 
     @property
     def capacity(self) -> int:
@@ -159,23 +165,24 @@ class QueryLog:
             self.overflow.append(  # reprolint: disable=RL001
                 self._entries.popleft())
 
-    def append(self, entry: QueryLogEntry) -> None:
+    def append(self, record) -> None:
         with self._lock:
-            self._entries.append(entry)
+            self.recorded += 1
+            self._entries.append(record)
             self._spill_excess()
 
-    def entries(self) -> list[QueryLogEntry]:
-        """The in-memory ring only (newest ``capacity`` entries)."""
+    def entries(self) -> list:
+        """The in-memory ring only (newest ``capacity`` records)."""
         with self._lock:
             return list(self._entries)
 
-    def all_entries(self) -> list[QueryLogEntry]:
-        """Spilled + ring entries, oldest first — what sys tables read."""
+    def all_entries(self) -> list:
+        """Spilled + ring records, oldest first — what sys tables read."""
         spilled = self.overflow.entries()
         with self._lock:
             return spilled + list(self._entries)
 
-    def last(self) -> Optional[QueryLogEntry]:
+    def last(self):
         with self._lock:
             return self._entries[-1] if self._entries else None
 
@@ -186,5 +193,12 @@ class QueryLog:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.recorded = 0
         # overflow synchronizes itself; don't nest its lock under ours
         self.overflow.clear()  # reprolint: disable=RL001
+
+
+class QueryLog(RingLog):
+    """The statements executed through any session of one server."""
+
+    record_type = QueryLogEntry

@@ -24,7 +24,7 @@ Trigger/alert path and land in ``sys.wm_events``.
 
 Retention mirrors the query log: the store keeps at most
 ``hive.query.store.capacity`` fingerprints (LRU on last virtual use)
-and ``hive.query.store.max.events`` events.
+and 512 events.
 """
 
 from __future__ import annotations
@@ -171,7 +171,8 @@ class QueryStore:
 
     # -- configuration -------------------------------------------------- #
     def configure(self, conf) -> None:
-        """Adopt the ``qstore_*`` knobs of a server conf."""
+        """Adopt the ``qstore_*`` knobs of the server conf (at start,
+        and again whenever a ``SET`` changes one of them)."""
         with self._lock:
             self.enabled = bool(conf.qstore_enabled)
             self.capacity = max(1, int(conf.qstore_capacity))
@@ -180,28 +181,7 @@ class QueryStore:
                 conf.qstore_regression_threshold)
             self.regression_min_samples = max(
                 1, int(conf.qstore_regression_min_samples))
-            self.max_events = max(1, int(conf.qstore_max_events))
             self._trim()
-
-    def apply_knob(self, attr: str, value) -> bool:
-        """Live-push one ``qstore_*`` conf attribute (SET statement)."""
-        with self._lock:
-            if attr == "qstore_enabled":
-                self.enabled = bool(value)
-            elif attr == "qstore_capacity":
-                self.capacity = max(1, int(value))
-            elif attr == "qstore_window_s":
-                self.window_s = float(value)
-            elif attr == "qstore_regression_threshold":
-                self.regression_threshold = float(value)
-            elif attr == "qstore_regression_min_samples":
-                self.regression_min_samples = max(1, int(value))
-            elif attr == "qstore_max_events":
-                self.max_events = max(1, int(value))
-            else:
-                return False
-            self._trim()
-            return True
 
     # -- identity ------------------------------------------------------- #
     def fingerprint_of(self, sql: str) -> str:

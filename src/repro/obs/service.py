@@ -23,13 +23,14 @@ from ..common import sync
 from collections import deque
 from typing import Optional
 
+from ..config import HiveConf
 from ..llap.workload import WmEventLog
-from .audit import AuditLog, AuditOverflow
+from .audit import AuditLog
 from .cluster import ClusterMonitor
 from .hooks import HookRegistry
 from .lineage import LineageGraph
 from .live import LiveQueryRegistry
-from .query_log import QueryLog, QueryLogEntry, QueryLogOverflow
+from .query_log import QueryLog, QueryLogEntry
 from .query_store import QueryStore
 from .registry import MetricsRegistry
 from .timeseries import TimeseriesStore
@@ -39,28 +40,24 @@ from .tracing import QueryTrace
 class Observability:
     """Registry + tracer + query log + sys catalog for one server."""
 
-    def __init__(self, log_capacity: int = 1000,
+    def __init__(self, conf: Optional[HiveConf] = None,
                  trace_capacity: int = 64,
                  overflow_path: Optional[str] = None,
-                 timeseries_capacity: int = 512,
-                 audit_capacity: int = 1000,
-                 audit_overflow_path: Optional[str] = None,
-                 lineage_capacity: int = 512,
-                 lineage_enabled: bool = True,
-                 hook_timeout_s: float = 1.0):
+                 audit_overflow_path: Optional[str] = None):
+        conf = conf or HiveConf()
         # the server registry refuses undocumented metric names
         self.registry = MetricsRegistry(require_help=True)
-        self.query_log = QueryLog(
-            log_capacity, overflow=QueryLogOverflow(overflow_path))
+        self.query_log = QueryLog(conf.obs_query_log_capacity,
+                                  overflow_path)
         self.query_store = QueryStore()
-        self.audit_log = AuditLog(
-            audit_capacity, overflow=AuditOverflow(audit_overflow_path))
+        self.query_store.configure(conf)
+        self.audit_log = AuditLog(conf.audit_capacity, audit_overflow_path)
         self.lineage_graph = LineageGraph(
-            capacity=lineage_capacity, enabled=lineage_enabled)
+            capacity=conf.lineage_capacity, enabled=conf.lineage_enabled)
         self.hooks = HookRegistry(metrics=self.registry,
-                                  timeout_s=hook_timeout_s)
+                                  timeout_s=conf.hook_timeout_s)
         self.wm_events = WmEventLog()
-        self.timeseries = TimeseriesStore(capacity=timeseries_capacity)
+        self.timeseries = TimeseriesStore()
         self.live_queries = LiveQueryRegistry(
             registry=self.registry, wm_events=self.wm_events)
         self.cluster = ClusterMonitor(self.registry, self.timeseries,

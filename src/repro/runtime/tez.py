@@ -40,6 +40,12 @@ _BREAKING = (rel.Join, rel.Aggregate, rel.Sort, rel.Limit, rel.Union,
 SPLIT_BYTES = 64 << 20
 #: rows per reducer task
 ROWS_PER_REDUCER = 50_000
+#: task slots per node: the paper's 8-core testbed machines run one
+#: task per core, as LLAP executors or as plain Tez containers
+SLOTS_PER_NODE = 8
+#: bounded task attempts (1 initial + 3 retries); the final attempt
+#: always succeeds (blacklisting), so injected faults cost time only
+TASK_MAX_ATTEMPTS = 4
 
 
 @dataclass
@@ -377,13 +383,11 @@ class TezRunner:
         failover_s = self._inject_node_death(scan_executor, query_id)
         if failover_s > 0.0:
             live_nodes = max(1, live_nodes - 1)
-        slots_total = live_nodes * (
-            conf.llap_executors_per_daemon if llap else conf.cores_per_node)
-        slots = max(1, int(slots_total * admission.capacity_fraction))
+        slots = max(1, int(live_nodes * SLOTS_PER_NODE
+                           * admission.capacity_fraction))
         cpu_per_row = (cost.vector_cpu_s if conf.vectorized_execution
                        else cost.row_cpu_s)
-        jit = 1.0 if llap or conf.container_reuse \
-            else cost.jit_cold_multiplier
+        jit = 1.0 if llap else cost.jit_cold_multiplier
 
         metrics = QueryMetrics(
             compile_s=(cost.compile_overhead_s
@@ -661,10 +665,10 @@ class TezRunner:
                               detail="slow node "
                                      f"x{conf.faults_slow_node_multiplier:g}")
             failures = faults.failed_attempts(
-                "task.fail", key, fail_rate, conf.task_max_attempts - 1)
+                "task.fail", key, fail_rate, TASK_MAX_ATTEMPTS - 1)
             if failures:
-                backoff = sum(conf.task_retry_backoff_s * 2.0 ** n
-                              for n in range(failures))
+                # exponential retry backoff from 0.1 virtual seconds
+                backoff = sum(0.1 * 2.0 ** n for n in range(failures))
                 durations[index] += failures * task_s + backoff
                 vm.retry_work_s += failures * task_s
                 vm.failed_attempts += failures

@@ -85,8 +85,7 @@ class TableWriter:
             for values in routed:
                 key = values if table.is_partitioned else None
                 self.hms.lock_manager.acquire(
-                    txn, table.qualified_name, key, LockType.SHARED,
-                    self.conf.txn_lock_timeout_s)
+                    txn, table.qualified_name, key, LockType.SHARED)
                 locked.append(key)
             write_id = self.hms.txn_manager.allocate_write_id(
                 txn, table.qualified_name)
@@ -136,18 +135,20 @@ class TableWriter:
         data_width = len(table.schema)
         part_columns = table.partition_columns
         routed: dict[tuple, list] = {}
-        if not table.is_partitioned:
-            routed[()] = [tuple(r) for r in rows]
-            return routed
         static = [partition_spec.get(c.name.lower())
                   for c in part_columns]
         dynamic_count = sum(1 for v in static if v is None)
+        expected = data_width + dynamic_count
         for row in rows:
-            if len(row) != data_width + dynamic_count:
+            if len(row) != expected:
                 raise AnalysisError(
                     f"insert into {table.qualified_name}: row has "
                     f"{len(row)} values, expected {data_width} data + "
                     f"{dynamic_count} dynamic partition values")
+        if not table.is_partitioned:
+            routed[()] = [tuple(r) for r in rows]
+            return routed
+        for row in rows:
             data = tuple(row[:data_width])
             dynamic = list(row[data_width:])
             values = []
@@ -248,7 +249,7 @@ class TableWriter:
                 self.hms.lock_manager.acquire(
                     txn, table.qualified_name,
                     values if table.is_partitioned else None,
-                    LockType.SHARED, self.conf.txn_lock_timeout_s)
+                    LockType.SHARED)
                 batch, _ = self.reader.read(location, valid,
                                             include_row_ids=True)
                 if batch.num_rows == 0:
@@ -380,7 +381,7 @@ class TableWriter:
                 self.hms.lock_manager.acquire(
                     txn, table.qualified_name,
                     values if table.is_partitioned else None,
-                    LockType.SHARED, self.conf.txn_lock_timeout_s)
+                    LockType.SHARED)
                 target_batch, _ = self.reader.read(location, valid,
                                                    include_row_ids=True)
                 if target_batch.num_rows == 0:

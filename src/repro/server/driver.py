@@ -13,11 +13,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from ..common.rows import Column, Schema
 from ..common.types import type_from_name
-from ..config import HiveConf
+from ..config import KNOBS, SET_NAMES, HiveConf
 from ..errors import (AnalysisError, CatalogError, ExecutionError,
                       HiveError, PlanInvariantError, QueryKilledError,
                       TransactionError, VertexFailureError)
@@ -48,7 +49,7 @@ from ..optimizer.mv_rewrite import (ViewDefinition, build_view_definition,
 from ..optimizer.rules_basic import fold_constants, push_down_predicates
 from ..plan import relnodes as rel
 from ..runtime.scan import ScanExecutor
-from ..runtime.tez import QueryMetrics, TezRunner
+from ..runtime.tez import SLOTS_PER_NODE, QueryMetrics, TezRunner
 from ..sql import ast_nodes as ast
 from ..sql.analyzer import Analyzer, Scope, ScopeEntry, _ExprConverter
 from ..sql.functions import NON_CACHEABLE_FUNCTIONS
@@ -57,8 +58,8 @@ from .dml import DmlResult, TableWriter
 from .mv import (RebuildReport, changed_sources, classify_changes,
                  snapshot_write_ids, source_tables_of)
 from .results_cache import QueryResultsCache
-# plan_cache is a leaf module (stdlib only) — no cycle back into the
-# driver; the rest of repro.service imports this module lazily
+# plan_cache imports nothing above repro.config — no cycle back into
+# the driver; the rest of repro.service imports this module lazily
 from ..service.plan_cache import CompiledPlanCache, plan_conf_digest
 
 #: virtual time of a query answered straight from the results cache: a
@@ -98,13 +99,7 @@ class HiveServer2:
     def __init__(self, conf: Optional[HiveConf] = None):
         self.conf = conf or HiveConf.v3_profile()
         self.conf.validate()
-        self.obs = Observability(
-            log_capacity=self.conf.obs_query_log_capacity,
-            timeseries_capacity=self.conf.monitor_timeseries_capacity,
-            audit_capacity=self.conf.audit_capacity,
-            lineage_capacity=self.conf.lineage_capacity,
-            lineage_enabled=self.conf.lineage_enabled,
-            hook_timeout_s=self.conf.hook_timeout_s)
+        self.obs = Observability(self.conf)
         self.faults = FaultRegistry.from_conf(
             self.conf, metrics=self.obs.registry)
         self.fs = SimFileSystem()
@@ -116,11 +111,7 @@ class HiveServer2:
         self.llap_cache = LlapCache(self.conf.llap_cache_capacity_bytes)
         self.llap_factory = LlapReaderFactory(self.fs, self.llap_cache)
         self.storage_handlers: dict[str, object] = {}
-        self.results_cache = QueryResultsCache(
-            self.conf.results_cache_max_entries,
-            self.conf.results_cache_wait_pending,
-            pending_timeout_s=self.conf.results_cache_pending_timeout_s)
-        self.obs.query_store.configure(self.conf)
+        self.results_cache = QueryResultsCache()
         self.workload_manager = WorkloadManager(
             registry=self.obs.registry,
             event_log=self.obs.wm_events,
@@ -154,11 +145,47 @@ class HiveServer2:
         self.obs.bind_cluster(
             self.llap_cache, self.hms, self.workload_manager,
             num_nodes=self.conf.num_nodes,
-            executors_per_node=self.conf.llap_executors_per_daemon,
+            executors_per_node=SLOTS_PER_NODE,
             cache_capacity_bytes=self.conf.llap_cache_capacity_bytes,
             interval_s=self.conf.monitor_sample_interval_s)
-        if self.conf.monitor_http_port > 0:
-            self.obs.start_http(port=self.conf.monitor_http_port)
+        self._start_monitor_http(self.conf.monitor_http_port)
+        #: SET of a server-scoped knob pushes the new value into the
+        #: live object that read the same field at construction (see
+        #: apply_knob); server2_* have no entry — their readers
+        #: consult self.conf
+        self._live_pushes = {
+            "obs_query_log_capacity": self.obs.query_log.set_capacity,
+            "audit_capacity": self.obs.audit_log.set_capacity,
+            "lineage_capacity": self.obs.lineage_graph.set_capacity,
+            "lineage_enabled": partial(
+                setattr, self.obs.lineage_graph, "enabled"),
+            "hook_timeout_s": self.obs.hooks.set_timeout,
+            "faults_seed": partial(setattr, self.faults, "seed"),
+            "faults_io_error_rate": partial(
+                setattr, self.faults, "io_error_rate"),
+            "txn_timeout_s": partial(
+                setattr, self.housekeeper, "timeout_s"),
+            "monitor_sample_interval_s": self.obs.cluster.set_interval,
+            "monitor_http_port": self._start_monitor_http,
+            "lint_sanitize_longhold_s": _set_sanitizer_longhold,
+            "plan_cache_max_entries": partial(
+                setattr, self.plan_cache, "max_entries"),
+            **{k.attr: lambda _value: self.obs.query_store.configure(
+                self.conf) for k in KNOBS if k.attr.startswith("qstore_")},
+        }
+
+    def _start_monitor_http(self, port: int) -> None:
+        if port > 0:
+            self.obs.start_http(port=port)
+
+    def apply_knob(self, attr: str, value) -> None:
+        """``SET`` of a server-scoped knob, from any session: keep the
+        server conf in step with the live object, then push.  Open
+        sessions' conf snapshots are not touched."""
+        setattr(self.conf, attr, value)
+        push = self._live_pushes.get(attr)
+        if push is not None:
+            push(value)
 
     # -- public API -------------------------------------------------------------- #
     def connect(self, database: str = "default",
@@ -292,7 +319,7 @@ class Session:
             # byte-identical repeat of a cached select: skip even parse
             cached_plan = self._cached_plan_for(sql)
             if cached_plan is not None:
-                operation = "selectstatement"
+                operation = "select"
                 # fingerprint from the unparsed canonical — the same
                 # identity space the parse path below uses
                 fingerprint = obs.query_store.fingerprint_of(
@@ -306,7 +333,7 @@ class Session:
             else:
                 with trace.span("parse"):
                     statement = parse_statement(sql, self.conf)
-                operation = type(statement).__name__.lower()
+                operation = _operation_of(statement)
                 # visible to WM regression(...) triggers while running
                 fingerprint = obs.query_store.fingerprint_of(
                     statement.unparse())
@@ -316,6 +343,7 @@ class Session:
                 ctx.fingerprint = fingerprint
                 obs.hooks.fire(PRE_EXEC, ctx)
                 result = self._dispatch(statement)
+                result.operation = operation
         except Exception as error:
             status = ("killed" if isinstance(error, QueryKilledError)
                       else "error")
@@ -476,34 +504,9 @@ class Session:
             if statement.lineage:
                 return self._explain_lineage(statement.statement)
             return self._explain(statement.statement)
-        if isinstance(statement, ast.CreateDatabase):
-            self.hms.create_database(statement.name,
-                                     statement.if_not_exists)
-            return QueryResult(operation="create_database")
-        if isinstance(statement, ast.CreateTable):
-            return self._create_table(statement)
-        if isinstance(statement, ast.CreateMaterializedView):
-            return self._create_materialized_view(statement)
-        if isinstance(statement, ast.AlterMaterializedViewRebuild):
-            return self._rebuild_materialized_view(statement)
-        if isinstance(statement, ast.AlterTableRename):
-            return self._alter_table_rename(statement)
-        if isinstance(statement, ast.DropTable):
-            return self._drop_table(statement)
-        if isinstance(statement, ast.Insert):
-            return self._insert(statement)
-        if isinstance(statement, ast.MultiInsert):
-            return self._multi_insert(statement)
-        if isinstance(statement, ast.Update):
-            return self._update(statement)
-        if isinstance(statement, ast.Delete):
-            return self._delete(statement)
-        if isinstance(statement, ast.Merge):
-            return self._merge(statement)
-        if isinstance(statement, ast.AnalyzeTable):
-            return self._analyze_table(statement)
-        if isinstance(statement, ast.SetConfig):
-            return self._set_config(statement)
+        kind = _STATEMENTS.get(type(statement))
+        if kind is not None:
+            return kind[1](self, statement)
         if isinstance(statement, ast.ShowTables):
             rows = [(t,) for t in self.hms.list_tables(self.database)]
             return QueryResult(rows=rows, column_names=["tab_name"])
@@ -535,20 +538,6 @@ class Session:
             return QueryResult(rows=rows,
                                column_names=["col_name", "data_type",
                                              "comment"])
-        if isinstance(statement, ast.StartTransaction):
-            return self._begin_transaction()
-        if isinstance(statement, ast.Commit):
-            return self._commit_transaction()
-        if isinstance(statement, ast.Rollback):
-            return self._rollback_transaction()
-        if isinstance(statement, ast.KillQuery):
-            return self._kill_query(statement)
-        if isinstance(statement, (ast.CreateResourcePlan, ast.CreatePool,
-                                  ast.CreateTriggerRule,
-                                  ast.AddRuleToPool,
-                                  ast.CreateApplicationMapping,
-                                  ast.AlterPlan)):
-            return self._workload_ddl(statement)
         raise AnalysisError(
             f"unsupported statement {type(statement).__name__}")
 
@@ -782,7 +771,7 @@ class Session:
             except VertexFailureError as failure:
                 attempts += 1
                 if (conf.reexecution_strategy == "off"
-                        or attempts > conf.max_reexecutions
+                        or attempts > 1   # one re-execution (§4.2)
                         or not failure.retriable):
                     raise
                 reexecuted = True
@@ -890,8 +879,7 @@ class Session:
                 f"-- semijoin reducer {reducer.reducer_id} -> "
                 f"{reducer.target_table}.{reducer.target_column}")
         return QueryResult(rows=[(line,) for line in lines],
-                           column_names=["plan"], operation="explain",
-                           optimized=optimized)
+                           column_names=["plan"], optimized=optimized)
 
     def _explain_history(self, statement: ast.Statement) -> QueryResult:
         """EXPLAIN HISTORY: the query store's aggregate view of this
@@ -902,8 +890,7 @@ class Session:
         lines = self.server.obs.query_store.history_lines(
             statement.unparse())
         return QueryResult(rows=[(line,) for line in lines],
-                           column_names=["history"],
-                           operation="explain")
+                           column_names=["history"])
 
     def _explain_validate(self, statement: ast.Statement) -> QueryResult:
         """EXPLAIN VALIDATE: compile with the plan-invariant checker
@@ -943,8 +930,7 @@ class Session:
                              for line in error.diff.splitlines())
             lines.append(f"result: FAIL (stage={error.stage})")
         return QueryResult(rows=[(line,) for line in lines],
-                           column_names=["check"],
-                           operation="explain_validate")
+                           column_names=["check"])
 
     def _explain_analyze(self, statement: ast.Statement) -> QueryResult:
         """EXPLAIN ANALYZE: run the query, annotate the plan with the
@@ -965,7 +951,6 @@ class Session:
             outputs=ctx.outputs() if ctx is not None else None)
         return QueryResult(rows=[(line,) for line in lines],
                            column_names=["plan"],
-                           operation="explain_analyze",
                            metrics=result.metrics,
                            optimized=result.optimized,
                            profile=result.profile)
@@ -990,16 +975,18 @@ class Session:
         lines = render_lineage(optimized.root)
         return QueryResult(rows=[(line,) for line in lines],
                            column_names=["lineage"],
-                           operation="explain_lineage",
                            optimized=optimized)
 
     # ------------------------------------------------------------------ #
     # DDL
+    def _create_database(self, statement: ast.CreateDatabase) -> QueryResult:
+        self.hms.create_database(statement.name, statement.if_not_exists)
+        return QueryResult()
+
     def _create_table(self, statement: ast.CreateTable) -> QueryResult:
         if statement.if_not_exists and self.hms.table_exists(
                 statement.name, self.database):
-            return QueryResult(operation="create_table",
-                               message="table exists, skipped")
+            return QueryResult(message="table exists, skipped")
         if statement.as_query is not None and not statement.columns:
             # CTAS: derive schema from the query
             select = self._run_select(statement.as_query, use_cache=False)
@@ -1008,18 +995,16 @@ class Session:
             schema = plan.schema
             table = self._register_table(statement, schema)
             self._writer().insert_rows(table, select.rows)
-            return QueryResult(operation="create_table",
-                               rows_affected=len(select.rows),
+            return QueryResult(rows_affected=len(select.rows),
                                metrics=select.metrics)
         schema = Schema([_column_from_def(c) for c in statement.columns])
         table = self._register_table(statement, schema)
         if statement.as_query is not None:
             select = self._run_select(statement.as_query, use_cache=False)
             self._writer().insert_rows(table, select.rows)
-            return QueryResult(operation="create_table",
-                               rows_affected=len(select.rows),
+            return QueryResult(rows_affected=len(select.rows),
                                metrics=select.metrics)
-        return QueryResult(operation="create_table")
+        return QueryResult()
 
     def _register_table(self, statement: ast.CreateTable,
                         schema: Schema) -> TableDescriptor:
@@ -1081,8 +1066,7 @@ class Session:
             table = self.hms.get_table(statement.name, self.database)
         except CatalogError:
             if statement.if_exists:
-                return QueryResult(operation="drop_table",
-                                   message="no such table, skipped")
+                return QueryResult(message="no such table, skipped")
             raise
         if statement.is_materialized_view and not \
                 table.is_materialized_view:
@@ -1098,13 +1082,12 @@ class Session:
         try:
             from ..metastore.locks import LockType
             self.hms.lock_manager.acquire(
-                txn, table.qualified_name, None, LockType.EXCLUSIVE,
-                self.conf.txn_lock_timeout_s)
+                txn, table.qualified_name, None, LockType.EXCLUSIVE)
             self.hms.drop_table(statement.name, self.database)
             self.hms.txn_manager.commit(txn)
         finally:
             self.hms.lock_manager.release_all(txn)
-        return QueryResult(operation="drop_table")
+        return QueryResult()
 
     def _alter_table_rename(
             self, statement: ast.AlterTableRename) -> QueryResult:
@@ -1117,9 +1100,7 @@ class Session:
         table = self.hms.rename_table(statement.name, statement.new_name,
                                       self.database)
         self._note_output(table.qualified_name)
-        return QueryResult(
-            operation="alter_table_rename",
-            message=f"renamed to {table.qualified_name}")
+        return QueryResult(message=f"renamed to {table.qualified_name}")
 
     # ------------------------------------------------------------------ #
     # materialized views
@@ -1150,8 +1131,7 @@ class Session:
             properties=properties, mv_info=info)
         self._note_output(view.qualified_name)
         self._store_view_contents(view, select.rows)
-        return QueryResult(operation="create_materialized_view",
-                           rows_affected=len(select.rows),
+        return QueryResult(rows_affected=len(select.rows),
                            metrics=select.metrics)
 
     def _store_view_contents(self, view: TableDescriptor,
@@ -1190,8 +1170,7 @@ class Session:
                 self._hook_ctx.add_input(source)
         change = classify_changes(self.hms, info)
         if change is None:
-            return QueryResult(operation="rebuild",
-                               message="view is fresh, nothing to do")
+            return QueryResult(message="view is fresh, nothing to do")
         changed = changed_sources(self.hms, info)
         definition = parse_statement(info.definition_sql, self.conf)
         report = None
@@ -1206,8 +1185,7 @@ class Session:
         info.snapshot_write_ids = snapshot_write_ids(
             self.hms, info.source_tables)
         info.rebuild_time = self.now_s
-        return QueryResult(operation="rebuild",
-                           rows_affected=report.rows,
+        return QueryResult(rows_affected=report.rows,
                            message=f"{report.mode} rebuild "
                                    f"({report.delta_rows} delta rows)")
 
@@ -1307,8 +1285,7 @@ class Session:
             stats_schema = Schema(table.schema.columns[:width])
             stats = TableStatistics.from_rows(stats_schema, rows)
             self.hms.update_statistics(table, stats)
-            return QueryResult(rows_affected=len(rows),
-                               operation="insert")
+            return QueryResult(rows_affected=len(rows))
         rows = self._insert_source_rows(statement, table)
         if self._active_txn is not None and statement.overwrite:
             raise TransactionError(
@@ -1321,8 +1298,7 @@ class Session:
                         if self._active_txn is not None else None))
         if self._active_txn is not None:
             self._txn_tables.add(table.qualified_name)
-        return QueryResult(rows_affected=result.rows_affected,
-                           operation="insert")
+        return QueryResult(rows_affected=result.rows_affected)
 
     def _insert_source_rows(self, statement: ast.Insert,
                             table: TableDescriptor) -> list[tuple]:
@@ -1352,6 +1328,11 @@ class Session:
             width = len(table.schema)
             reordered = []
             for row in rows:
+                if len(row) != len(names):
+                    raise AnalysisError(
+                        f"insert into {table.qualified_name}: row has "
+                        f"{len(row)} values, the column list names "
+                        f"{len(names)}")
                 full = [None] * width
                 for name, value in zip(names, row):
                     full[table.schema.index_of(name)] = value
@@ -1450,8 +1431,7 @@ class Session:
                 writer._merge_stats(table, rows, partition, replace)
             for table in touched:
                 writer.initiator.check_table(table)
-        return QueryResult(rows_affected=total, operation="multi_insert",
-                           metrics=source_result.metrics)
+        return QueryResult(rows_affected=total, metrics=source_result.metrics)
 
     def _update(self, statement: ast.Update) -> QueryResult:
         table = self.hms.get_table(statement.table, self.database)
@@ -1470,8 +1450,7 @@ class Session:
                    if self._active_txn is not None else None))
         if self._active_txn is not None:
             self._txn_tables.add(table.qualified_name)
-        return QueryResult(rows_affected=result.rows_affected,
-                           operation="update")
+        return QueryResult(rows_affected=result.rows_affected)
 
     def _delete(self, statement: ast.Delete) -> QueryResult:
         table = self.hms.get_table(statement.table, self.database)
@@ -1486,8 +1465,7 @@ class Session:
                    if self._active_txn is not None else None))
         if self._active_txn is not None:
             self._txn_tables.add(table.qualified_name)
-        return QueryResult(rows_affected=result.rows_affected,
-                           operation="delete")
+        return QueryResult(rows_affected=result.rows_affected)
 
     def _merge(self, statement: ast.Merge) -> QueryResult:
         if self._active_txn is not None:
@@ -1554,13 +1532,12 @@ class Session:
         result = self._writer().merge(table, source_batch, target_alias,
                                       source_schema, condition, clauses)
         return QueryResult(rows_affected=result.rows_affected,
-                           operation="merge",
                            metrics=source_result.metrics)
 
     # ------------------------------------------------------------------ #
     # multi-statement transactions (§9 roadmap: "we plan to implement
     # multi-statement transactions")
-    def _begin_transaction(self) -> QueryResult:
+    def _begin_transaction(self, statement=None) -> QueryResult:
         if self._active_txn is not None:
             raise TransactionError("a transaction is already open")
         self._active_txn = self.hms.txn_manager.open_transaction()
@@ -1576,10 +1553,9 @@ class Session:
             faults.stall_txn(self._active_txn)
             faults.record("lock.stall", f"txn {self._active_txn}",
                           detail="client stops heartbeating")
-        return QueryResult(operation="start_transaction",
-                           message=f"txn {self._active_txn} open")
+        return QueryResult(message=f"txn {self._active_txn} open")
 
-    def _commit_transaction(self) -> QueryResult:
+    def _commit_transaction(self, statement=None) -> QueryResult:
         if self._active_txn is None:
             raise TransactionError("no open transaction to commit")
         txn = self._active_txn
@@ -1596,17 +1572,15 @@ class Session:
         self._clear_transaction()
         for table_name in touched:
             writer.initiator.check_table(self.hms.get_table(table_name))
-        return QueryResult(operation="commit",
-                           message=f"txn {txn} committed")
+        return QueryResult(message=f"txn {txn} committed")
 
-    def _rollback_transaction(self) -> QueryResult:
+    def _rollback_transaction(self, statement=None) -> QueryResult:
         if self._active_txn is None:
             raise TransactionError("no open transaction to roll back")
         txn = self._active_txn
         self.hms.txn_manager.abort(txn)
         self._clear_transaction()
-        return QueryResult(operation="rollback",
-                           message=f"txn {txn} rolled back")
+        return QueryResult(message=f"txn {txn} rolled back")
 
     def _clear_transaction(self) -> None:
         if self._active_txn is not None:
@@ -1637,76 +1611,25 @@ class Session:
                                           result.rows)
         # keep only data-column stats at table level
         self.hms.set_statistics(table, stats)
-        return QueryResult(operation="analyze",
-                           rows_affected=stats.row_count,
+        return QueryResult(rows_affected=stats.row_count,
                            metrics=result.metrics)
 
     def _set_config(self, statement: ast.SetConfig) -> QueryResult:
         key = statement.key.lower()
-        attr = _CONFIG_ALIASES.get(key, key)
-        if not hasattr(self.conf, attr):
+        knob = SET_NAMES.get(key)
+        if knob is None:
             raise AnalysisError(f"unknown configuration key {key!r}")
-        current = getattr(self.conf, attr)
-        value: object = statement.value
-        if isinstance(current, bool):
-            value = _parse_bool_config(key, statement.value)
-        elif isinstance(current, int):
-            value = int(statement.value)
-        elif isinstance(current, float):
-            value = float(statement.value)
-        setattr(self.conf, attr, value)
+        value = knob.parse(key, statement.value)
+        current = getattr(self.conf, knob.attr)
+        setattr(self.conf, knob.attr, value)
         try:
             self.conf.validate()
         except HiveError:
-            setattr(self.conf, attr, current)  # keep the session usable
+            setattr(self.conf, knob.attr, current)  # keep the session usable
             raise
-        if attr == "obs_query_log_capacity":
-            # server-level knob: resize the live ring (excess spills)
-            self.server.obs.query_log.set_capacity(int(value))
-        if attr.startswith("qstore_"):
-            # the query store is server-wide, like the query log
-            self.server.obs.query_store.apply_knob(attr, value)
-        # audit/lineage stores and the hook registry are server-wide,
-        # like the query log: SET takes effect for every session
-        if attr == "audit_capacity":
-            self.server.obs.audit_log.set_capacity(int(value))
-        elif attr == "lineage_capacity":
-            self.server.obs.lineage_graph.set_capacity(int(value))
-        elif attr == "lineage_enabled":
-            self.server.obs.lineage_graph.enabled = bool(value)
-        elif attr == "hook_timeout_s":
-            self.server.obs.hooks.set_timeout(float(value))
-        # the fault registry is server-wide (the simulated fs is shared);
-        # mirror the knobs its stateless decisions read
-        faults = self.server.faults
-        if attr == "faults_seed":
-            faults.seed = int(value)
-        elif attr == "faults_io_error_rate":
-            faults.io_error_rate = float(value)
-        elif attr == "task_max_attempts":
-            faults.max_io_retries = max(0, int(value) - 1)
-        elif attr == "txn_timeout_s":
-            self.server.housekeeper.timeout_s = float(value)
-        elif attr == "monitor_sample_interval_s":
-            # the sampler is server-wide, like the fault registry
-            self.server.obs.cluster.set_interval(float(value))
-        elif attr == "monitor_http_port" and int(value) > 0:
-            self.server.obs.start_http(port=int(value))
-        elif attr == "lint_sanitize_longhold_s":
-            # push to the live sanitizer, if this process runs one
-            from ..lint import sanitizer as _sanitizer
-            active = _sanitizer.current()
-            if active is not None:
-                active.longhold_s = float(value)
-        elif attr in _SERVER2_KNOBS:
-            # serving-layer knobs are server-wide: the session manager
-            # and admission controller read the SERVER conf (session
-            # confs remain snapshots — see Session.__init__)
-            setattr(self.server.conf, attr, value)
-            if attr == "plan_cache_max_entries":
-                self.server.plan_cache.max_entries = int(value)
-        return QueryResult(operation="set",
-                           message=f"{attr}={value}")
+        if knob.scope == "server":
+            self.server.apply_knob(knob.attr, value)
+        return QueryResult(message=f"{knob.attr}={value}")
 
     def _kill_query(self, statement: ast.KillQuery) -> QueryResult:
         """KILL QUERY <id> — flag a live query for termination.
@@ -1722,7 +1645,6 @@ class Session:
                 f"no live query with id {statement.query_id} "
                 "(see sys.live_queries)")
         return QueryResult(
-            operation="kill_query",
             message=f"kill requested for query {statement.query_id}")
 
     def _workload_ddl(self, statement: ast.Statement) -> QueryResult:
@@ -1731,13 +1653,13 @@ class Session:
             hms.save_resource_plan(statement.name,
                                    ResourcePlan(statement.name.lower()))
             self._active_plan_name = statement.name
-            return QueryResult(operation="create_resource_plan")
+            return QueryResult()
         if isinstance(statement, ast.CreatePool):
             plan = hms.get_resource_plan(statement.plan)
             plan.add_pool(Pool(statement.pool.lower(),
                                statement.alloc_fraction,
                                statement.query_parallelism))
-            return QueryResult(operation="create_pool")
+            return QueryResult()
         if isinstance(statement, ast.CreateTriggerRule):
             plan = hms.get_resource_plan(statement.plan)
             trigger = Trigger(
@@ -1749,16 +1671,16 @@ class Session:
             if statement.over_s > 0.0:
                 trigger.over_s = statement.over_s
             plan.unattached_triggers[statement.name.lower()] = trigger
-            return QueryResult(operation="create_rule")
+            return QueryResult()
         if isinstance(statement, ast.AddRuleToPool):
             plan = self._find_plan_with_rule(statement.rule)
             plan.attach_rule(statement.rule.lower(), statement.pool.lower())
-            return QueryResult(operation="add_rule")
+            return QueryResult()
         if isinstance(statement, ast.CreateApplicationMapping):
             plan = hms.get_resource_plan(statement.plan)
             plan.mappings[statement.application.lower()] = \
                 statement.pool.lower()
-            return QueryResult(operation="create_mapping")
+            return QueryResult()
         if isinstance(statement, ast.AlterPlan):
             plan = hms.get_resource_plan(statement.plan)
             if statement.default_pool is not None:
@@ -1770,7 +1692,7 @@ class Session:
                 plan.enabled = True
                 hms.activate_resource_plan(statement.plan)
                 self.server.workload_manager.plan = plan
-            return QueryResult(operation="alter_plan")
+            return QueryResult()
         raise AnalysisError("unhandled workload statement")
 
     def _find_plan_with_rule(self, rule: str) -> ResourcePlan:
@@ -1873,91 +1795,60 @@ def _query_calls(query: ast.Query, names: frozenset) -> bool:
     return spec_has(query.body)
 
 
+#: statement kind -> (``operation`` label, handler).  The label is
+#: stamped on the QueryResult, the sys.query_log / sys.audit_log rows,
+#: hook contexts and the ``queries.total`` counter — one spelling whether
+#: the statement succeeds or fails.  SELECT and EXPLAIN are dispatched by
+#: hand; the remaining kinds (SHOW ..., DESCRIBE) answer with rows like a
+#: query and are labelled "select".
+_STATEMENTS = {
+    ast.CreateDatabase: ("create_database", Session._create_database),
+    ast.CreateTable: ("create_table", Session._create_table),
+    ast.CreateMaterializedView: ("create_materialized_view",
+                                 Session._create_materialized_view),
+    ast.AlterMaterializedViewRebuild: (
+        "rebuild", Session._rebuild_materialized_view),
+    ast.AlterTableRename: ("alter_table_rename",
+                           Session._alter_table_rename),
+    ast.DropTable: ("drop_table", Session._drop_table),
+    ast.Insert: ("insert", Session._insert),
+    ast.MultiInsert: ("multi_insert", Session._multi_insert),
+    ast.Update: ("update", Session._update),
+    ast.Delete: ("delete", Session._delete),
+    ast.Merge: ("merge", Session._merge),
+    ast.AnalyzeTable: ("analyze", Session._analyze_table),
+    ast.SetConfig: ("set", Session._set_config),
+    ast.StartTransaction: ("start_transaction", Session._begin_transaction),
+    ast.Commit: ("commit", Session._commit_transaction),
+    ast.Rollback: ("rollback", Session._rollback_transaction),
+    ast.KillQuery: ("kill_query", Session._kill_query),
+    ast.CreateResourcePlan: ("create_resource_plan", Session._workload_ddl),
+    ast.CreatePool: ("create_pool", Session._workload_ddl),
+    ast.CreateTriggerRule: ("create_rule", Session._workload_ddl),
+    ast.AddRuleToPool: ("add_rule", Session._workload_ddl),
+    ast.CreateApplicationMapping: ("create_mapping", Session._workload_ddl),
+    ast.AlterPlan: ("alter_plan", Session._workload_ddl),
+}
+
+
+def _operation_of(statement: ast.Statement) -> str:
+    if isinstance(statement, ast.Explain):
+        for flavour in ("analyze", "validate", "lineage"):
+            if getattr(statement, flavour):
+                return f"explain_{flavour}"
+        return "explain"
+    kind = _STATEMENTS.get(type(statement))
+    return kind[0] if kind is not None else "select"
+
+
+def _set_sanitizer_longhold(seconds: float) -> None:
+    """Push to the live lock sanitizer, if this process runs one."""
+    from ..lint import sanitizer
+    active = sanitizer.current()
+    if active is not None:
+        active.longhold_s = seconds
+
+
 def _select_star(table: TableDescriptor) -> ast.Query:
     from ..sql.parser import parse_query
     return parse_query(f"SELECT * FROM {table.qualified_name}")
-
-
-_BOOL_CONFIG_VALUES = {
-    "true": True, "1": True, "yes": True, "on": True,
-    "false": False, "0": False, "no": False, "off": False,
-}
-
-
-def _parse_bool_config(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_CONFIG_VALUES[raw.lower()]
-    except KeyError:
-        raise AnalysisError(
-            f"invalid boolean value {raw!r} for {key}: expected "
-            "true/false (or 1/0, yes/no, on/off)") from None
-
-
-_CONFIG_ALIASES = {
-    "hive.llap.execution.mode": "llap_enabled",
-    "hive.llap.enabled": "llap_enabled",
-    "hive.llap.io.enabled": "llap_cache_enabled",
-    "hive.vectorized.execution.enabled": "vectorized_execution",
-    "hive.vectorized.compile.enabled": "vectorized_compile",
-    "hive.vectorized.fusion.enabled": "vectorized_fusion",
-    "hive.cbo.enable": "cbo_enabled",
-    "hive.optimize.shared.work": "shared_work_optimization",
-    "hive.optimize.semijoin.reduction": "semijoin_reduction",
-    "hive.materializedview.rewriting": "mv_rewriting",
-    "hive.query.results.cache.enabled": "results_cache_enabled",
-    "hive.query.reexecution.strategy": "reexecution_strategy",
-    "hive.auto.convert.join": "join_reordering",
-    "hive.check.plan": "check_plan",
-    "hive.check.plan.paranoid": "check_plan_paranoid",
-    "hive.obs.query.log.capacity": "obs_query_log_capacity",
-    "hive.obs.straggler.skew.threshold": "straggler_skew_threshold",
-    "hive.monitor.http.port": "monitor_http_port",
-    "hive.monitor.sample.interval.s": "monitor_sample_interval_s",
-    "hive.monitor.timeseries.capacity": "monitor_timeseries_capacity",
-    "hive.lint.sanitize.longhold.s": "lint_sanitize_longhold_s",
-    "hive.faults.seed": "faults_seed",
-    "hive.faults.task.fail.rate": "faults_task_fail_rate",
-    "hive.faults.io.error.rate": "faults_io_error_rate",
-    "hive.faults.node.fail.rate": "faults_node_fail_rate",
-    "hive.faults.slow.node.rate": "faults_slow_node_rate",
-    "hive.faults.slow.node.multiplier": "faults_slow_node_multiplier",
-    "hive.faults.lock.stall.rate": "faults_lock_stall_rate",
-    "hive.tez.task.max.attempts": "task_max_attempts",
-    "hive.tez.task.retry.backoff.s": "task_retry_backoff_s",
-    "hive.tez.speculative.execution": "speculative_execution",
-    "hive.txn.timeout.s": "txn_timeout_s",
-    "hive.query.results.cache.pending.timeout.s":
-        "results_cache_pending_timeout_s",
-    "hive.server2.session.ttl.s": "server2_session_ttl_s",
-    "hive.server2.tenant.max.sessions": "server2_max_sessions_per_tenant",
-    "hive.server2.admission.queue.timeout.s": "server2_queue_timeout_s",
-    "hive.server2.default.parallelism": "server2_default_parallelism",
-    "hive.server2.plan.cache.enabled": "plan_cache_enabled",
-    "hive.server2.plan.cache.max.entries": "plan_cache_max_entries",
-    "hive.query.store.enabled": "qstore_enabled",
-    "hive.query.store.capacity": "qstore_capacity",
-    "hive.query.store.window.s": "qstore_window_s",
-    "hive.query.store.regression.threshold":
-        "qstore_regression_threshold",
-    "hive.query.store.regression.min.samples":
-        "qstore_regression_min_samples",
-    "hive.query.store.max.events": "qstore_max_events",
-    "hive.lineage.enabled": "lineage_enabled",
-    "hive.lineage.capacity": "lineage_capacity",
-    "hive.audit.capacity": "audit_capacity",
-    "hive.hook.timeout.s": "hook_timeout_s",
-}
-
-#: serving-layer knobs mirrored to the server conf by ``SET`` (the
-#: session manager / admission controller read server state);
-#: ``plan_cache_enabled`` stays session-scoped by design — it gates
-#: this session's lookups, like ``results_cache_enabled``
-_SERVER2_KNOBS = frozenset({
-    "server2_session_ttl_s", "server2_max_sessions_per_tenant",
-    "server2_queue_timeout_s", "server2_default_parallelism",
-    "plan_cache_max_entries",
-    # audit/lineage/hook stores live on the server's Observability;
-    # mirroring keeps server.conf in step with the live objects
-    "audit_capacity", "lineage_capacity", "lineage_enabled",
-    "hook_timeout_s",
-})

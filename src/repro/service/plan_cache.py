@@ -44,30 +44,16 @@ import itertools
 import threading
 
 from ..common import sync
+from ..config import KNOBS
 from ..exec.compile import KernelCache
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-#: HiveConf attributes that change the shape of an optimized plan.
-#: Two sessions whose values differ on any of these must not share
-#: cached plans (satellite 1: the digest is computed from the
-#: *session's* effective conf, never the server's).
-PLAN_RELEVANT_CONF = (
-    "cbo_enabled",
-    "join_reordering",
-    "filter_pushdown",
-    "project_pruning",
-    "constant_folding",
-    "partition_pruning",
-    "shared_work_optimization",
-    "semijoin_reduction",
-    "semijoin_bloom_fpp",
-    "mv_rewriting",
-    "federation_pushdown",
-    "vectorized_execution",
-    "llap_enabled",
-    "hash_join_memory_rows",
-)
+#: HiveConf attributes that change the shape of an optimized plan
+#: (declared ``plan=True`` in repro.config).  Two sessions whose values
+#: differ on any of these must not share cached plans: the digest is
+#: computed from the *session's* effective conf, never the server's.
+PLAN_RELEVANT_CONF = tuple(k.attr for k in KNOBS if k.plan)
 
 
 def plan_conf_digest(conf, extra: str = "") -> str:

@@ -220,10 +220,6 @@ class Analyzer:
         # window functions
         window_calls = self._collect_window_calls(spec, order_by)
         if window_calls:
-            if not self.conf.support_window_functions:
-                raise UnsupportedFeatureError(
-                    "window functions are not supported by profile "
-                    f"{self.conf.name}")
             plan, post_map = self._build_window(
                 plan, current_scope, post_map, window_calls, has_aggs)
 

@@ -1049,8 +1049,6 @@ class Parser:
             if self.accept_keyword("IN"):
                 self.expect_op("(")
                 if self.peek().is_keyword("SELECT", "WITH"):
-                    if not self.conf.support_correlated_subqueries:
-                        raise self._unsupported("IN subquery")
                     query = self.parse_query()
                     self.expect_op(")")
                     left = ast.InSubquery(left, query, negated)
@@ -1164,8 +1162,6 @@ class Parser:
             self.expect_op(")")
             return ast.ExtractExpr(unit, operand)
         if token.is_keyword("EXISTS"):
-            if not self.conf.support_correlated_subqueries:
-                raise self._unsupported("EXISTS subquery")
             self.advance()
             self.expect_op("(")
             query = self.parse_query()
@@ -1219,8 +1215,6 @@ class Parser:
             self.expect_op(")")
             window = None
             if self.accept_keyword("OVER"):
-                if not self.conf.support_window_functions:
-                    raise self._unsupported("window functions")
                 window = self._parse_window_spec()
             return ast.FuncCall(name.lower(), tuple(args), distinct, window)
         # qualified column a.b (or db.t.c → qualifier "db.t")

@@ -1,10 +1,12 @@
 """HiveConf profiles/validation and the optimizer's StatsProvider."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.rows import Column, Schema
 from repro.common.types import DOUBLE, INT, STRING
-from repro.config import HiveConf
+from repro.config import KNOBS, NOT_SETTABLE, SET_NAMES, HiveConf
 from repro.errors import ConfigError
 from repro.fs import SimFileSystem
 from repro.metastore.hms import HiveMetastore
@@ -34,6 +36,35 @@ class TestHiveConf:
             HiveConf(semijoin_bloom_fpp=2.0).validate()
         with pytest.raises(ConfigError):
             HiveConf(num_nodes=0).validate()
+
+    def test_every_field_is_a_knob_or_listed_not_settable(self):
+        declared = [k.attr for k in KNOBS]
+        assert len(set(declared)) == len(declared)
+        assert set(declared).isdisjoint(NOT_SETTABLE)
+        assert {f.name for f in dataclasses.fields(HiveConf)} == \
+            set(declared) | set(NOT_SETTABLE)
+        # SET keys are unique: no hive.* name is claimed twice
+        assert len(SET_NAMES) == sum(1 + len(k.names) for k in KNOBS)
+        assert all(k.scope in ("session", "server") for k in KNOBS)
+
+    @pytest.mark.parametrize("override, bounds", [
+        ({"audit_capacity": 0}, ">= 1"),
+        ({"hook_timeout_s": 0.0}, "> 0.0"),
+        ({"monitor_http_port": 70000}, "[0, 65535]"),
+        ({"faults_io_error_rate": 1.5}, "[0.0, 1.0]"),
+        ({"semijoin_bloom_fpp": 1.0}, "(0.0, 1.0)"),
+        ({"reexecution_strategy": "retry"}, "one of overlay, reoptimize, off")])
+    def test_bounds_come_from_the_declaration(self, override, bounds):
+        (attr, value), = override.items()
+        with pytest.raises(ConfigError) as error:
+            HiveConf(**override).validate()
+        assert str(error.value) == f"{attr} must be {bounds}, got {value!r}"
+
+    def test_env_overrides_a_declared_default(self, monkeypatch):
+        monkeypatch.setenv("HIVE_FAULTS_SEED", "9")
+        monkeypatch.setenv("HIVE_CHECK_PLAN", "paranoid")
+        conf = HiveConf()
+        assert conf.faults_seed == 9 and conf.check_plan == "paranoid"
 
     def test_profiles_differ_where_the_paper_says(self):
         legacy = HiveConf.legacy_profile()

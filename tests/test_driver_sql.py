@@ -5,9 +5,10 @@ import datetime
 import pytest
 
 import repro
-from repro.config import HiveConf
-from repro.errors import (AnalysisError, CatalogError, ExecutionError,
-                          ParseError)
+from repro.config import NOT_SETTABLE, SET_NAMES, HiveConf
+from repro.errors import (AnalysisError, CatalogError, ConfigError,
+                          ExecutionError, ParseError)
+from repro.service.plan_cache import PLAN_RELEVANT_CONF
 
 
 class TestDdl:
@@ -97,6 +98,22 @@ class TestInsert:
         session.execute("CREATE TABLE t (a INT)")
         with pytest.raises(AnalysisError):
             session.execute("INSERT INTO t VALUES (a + 1)")
+
+    @pytest.mark.parametrize("source, given", [
+        ("VALUES (1)", 1), ("VALUES (1, 'x', 3)", 3), ("SELECT 1", 1)])
+    def test_wrong_arity_is_a_typed_error(self, session, source, given):
+        session.execute("CREATE TABLE t (a INT, b STRING)")
+        with pytest.raises(AnalysisError) as error:
+            session.execute(f"INSERT INTO t {source}")
+        message = str(error.value)
+        assert "default.t" in message
+        assert f"{given} values" in message and "expected 2" in message
+        assert session.execute("SELECT COUNT(*) FROM t").rows == [(0,)]
+
+    def test_column_list_arity_checked(self, session):
+        session.execute("CREATE TABLE t (a INT, b STRING)")
+        with pytest.raises(AnalysisError, match="default.t.*2 values"):
+            session.execute("INSERT INTO t (a) VALUES (1, 'dropped')")
 
 
 class TestUpdateDelete:
@@ -253,12 +270,95 @@ class TestQueries:
         assert data.conf.plan_check_mode == "paranoid"
 
     def test_set_check_plan_rejects_bad_mode(self, data):
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError, match="check_plan"):
             data.execute("SET hive.check.plan=sometimes")
         # the rejected value is rolled back, the session stays usable
         data.conf.plan_check_mode
         assert data.execute("SELECT count(*) FROM t").rows
+
+    def test_set_coerces_to_the_declared_type(self, data):
+        # the budget used to be stored as the string '1' and the next
+        # hash join died comparing int with str
+        data.execute("SET hash_join_memory_rows=1")
+        assert data.conf.hash_join_memory_rows == 1
+        data.execute("SET hive.query.reexecution.strategy=overlay")
+        data.conf.reexecution_overlay = {"hash_join_memory_rows": None}
+        result = data.execute("SELECT COUNT(*) FROM t, u WHERE t.a = u.k")
+        assert result.reexecuted and result.rows == [(4,)]
+        data.execute("SET hash_join_memory_rows=none")
+        assert data.conf.hash_join_memory_rows is None
+
+    @pytest.mark.parametrize("key", NOT_SETTABLE)
+    def test_set_rejects_non_scalar_fields(self, data, key):
+        before = getattr(data.conf, key)
+        with pytest.raises(AnalysisError, match="unknown configuration"):
+            data.execute(f"SET {key}=3")
+        assert getattr(data.conf, key) is before
+        assert data.execute("SELECT COUNT(*) FROM t").rows == [(5,)]
+
+    @pytest.mark.parametrize("key, raw, expected", [
+        ("num_nodes", "abc", "an integer"),
+        ("hive.faults.seed", "1.5", "an integer"),
+        ("hive.faults.task.fail.rate", "often", "a number"),
+        ("hash_join_memory_rows", "lots", "an integer or none")])
+    def test_set_rejects_mistyped_value(self, data, key, raw, expected):
+        attr = SET_NAMES[key].attr
+        before = getattr(data.conf, attr)
+        with pytest.raises(AnalysisError) as error:
+            data.execute(f"SET {key}={raw}")
+        assert key in str(error.value) and expected in str(error.value)
+        assert getattr(data.conf, attr) == before
+
+    @pytest.mark.parametrize("key", sorted(SET_NAMES))
+    def test_every_set_name_round_trips(self, data, key):
+        knob = SET_NAMES[key]
+        rendered = str(knob.default).lower()   # True -> true, None -> none
+        # park a value SET must replace, whatever the default is
+        setattr(data.conf, knob.attr, 7 if knob.default is None else None)
+        result = data.execute(f"SET {key}={rendered}")
+        assert result.message == f"{knob.attr}={knob.default}"
+        value = getattr(data.conf, knob.attr)
+        assert value == knob.default
+        assert type(value) is type(knob.default)
+
+    @pytest.mark.parametrize("key, attr, live", [
+        ("hive.query.store.capacity", "qstore_capacity",
+         lambda obs: obs.query_store.capacity),
+        ("hive.audit.capacity", "audit_capacity",
+         lambda obs: obs.audit_log.capacity),
+        ("hive.obs.query.log.capacity", "obs_query_log_capacity",
+         lambda obs: obs.query_log.capacity)])
+    def test_server_scoped_set(self, server, key, attr, live):
+        mine, other = server.connect(), server.connect()
+        default = getattr(server.conf, attr)
+        mine.execute(f"SET {key}=17")
+        assert getattr(mine.conf, attr) == 17
+        assert getattr(server.conf, attr) == 17
+        assert live(server.obs) == 17
+        # open sessions keep their snapshot; new ones see the server's
+        assert getattr(other.conf, attr) == default
+        assert getattr(server.connect().conf, attr) == 17
+
+    def test_rejected_server_scoped_set_changes_nothing(self, server):
+        session = server.connect()
+        with pytest.raises(ConfigError, match="audit_capacity"):
+            session.execute("SET hive.audit.capacity=0")
+        assert session.conf.audit_capacity == 1000
+        assert server.conf.audit_capacity == 1000
+        assert server.obs.audit_log.capacity == 1000
+
+    @pytest.mark.parametrize("attr", PLAN_RELEVANT_CONF)
+    def test_plan_relevant_knob_splits_the_plan_cache(self, server, attr):
+        one, two = server.connect(), server.connect()
+        assert one._plan_conf_digest() == two._plan_conf_digest()
+        value = {"bool": "false", "float": "0.5",
+                 "Optional[int]": "7"}[SET_NAMES[attr].type]
+        one.execute(f"SET {attr}={value}")
+        assert one._plan_conf_digest() != two._plan_conf_digest()
+        # a knob that is not plan-relevant leaves the digest alone
+        before = two._plan_conf_digest()
+        two.execute("SET hive.query.results.cache.enabled=false")
+        assert two._plan_conf_digest() == before
 
     def test_parse_error_surfaces(self, data):
         with pytest.raises(ParseError):

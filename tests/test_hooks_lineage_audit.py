@@ -404,8 +404,7 @@ class TestConcurrentAuditAndLineage:
             assert report.errors == 0, report.error_messages[:3]
             audit = [r for r in
                      service.server.obs.audit_log.all_entries()
-                     if r.operation == "selectstatement"
-                     or r.operation == "select"]
+                     if r.operation == "select"]
             assert len(audit) == report.submitted
             ids = [r.query_id for r in audit]
             assert len(ids) == len(set(ids))    # no duplicates

@@ -272,17 +272,9 @@ class TestCheckPlanConfig:
         with pytest.raises(ConfigError, match="check_plan"):
             HiveConf.v3_profile().copy(check_plan="bogus")
 
-    def test_paranoid_flag_escalates(self):
-        conf = HiveConf(check_plan="off", check_plan_paranoid=True)
-        assert conf.plan_check_mode == "paranoid"
-
     def test_boolean_synonyms(self):
         assert HiveConf(check_plan="true").plan_check_mode == "on"
         assert HiveConf(check_plan="FALSE").plan_check_mode == "off"
-
-    def test_non_bool_paranoid_rejected(self):
-        with pytest.raises(ConfigError, match="paranoid"):
-            HiveConf(check_plan_paranoid="yes").validate()
 
     def test_session_construction_validates(self):
         import repro

@@ -148,6 +148,33 @@ class TestQueryLogEndToEnd:
             "GROUP BY status").rows
         assert ("error", 1) in rows
 
+    @pytest.mark.parametrize("operation, ok, failing", [
+        ("select", "SELECT a FROM t", "SELECT a FROM missing_table"),
+        ("drop_table", "DROP TABLE u", "DROP TABLE missing_table"),
+        ("set", "SET hive.cbo.enable=false", "SET no.such.key=1"),
+        ("insert", "INSERT INTO u VALUES (7, 70, 'ux7')",
+         "INSERT INTO u VALUES (7)")])
+    def test_one_operation_name_per_statement_kind(
+            self, loaded_session, operation, ok, failing):
+        # a failed statement used to be labelled with its AST class
+        # name (selectstatement, droptable, setconfig)
+        session = loaded_session
+        audit_before = len(session.server.obs.audit_log)
+        assert session.execute(ok).operation == operation
+        with pytest.raises(HiveError):
+            session.execute(failing)
+        logged = session.execute(
+            "SELECT statement, operation, status FROM sys.query_log").rows
+        assert [row[1:] for row in logged if row[0] in (ok, failing)] == [
+            (operation, "ok"), (operation, "error")]
+        audited = session.server.obs.audit_log.entries()[audit_before:]
+        assert [(r.operation, r.status) for r in audited[:2]] == [
+            (operation, "ok"), (operation, "error")]
+        reg = session.server.obs.registry
+        for status in ("ok", "error"):
+            assert reg.value("queries.total", operation=operation,
+                             status=status) >= 1
+
     def test_cache_hit_flagged(self, loaded_session):
         loaded_session.execute("SELECT COUNT(*) FROM t")
         loaded_session.execute("SELECT COUNT(*) FROM t")

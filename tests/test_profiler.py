@@ -13,8 +13,7 @@ from repro.llap.workload import (Pool, QueryAdmission, ResourcePlan,
                                  Trigger, TriggerAction, WmEventLog,
                                  WorkloadManager)
 from repro.obs import MetricsRegistry
-from repro.obs.query_log import (QueryLog, QueryLogEntry,
-                                 QueryLogOverflow)
+from repro.obs.query_log import QueryLog, QueryLogEntry
 from repro.obs.report import (perf_gate, render_bench_report,
                               update_experiments)
 from repro.server.driver import HiveServer2
@@ -337,7 +336,7 @@ class TestQueryLogRetention:
 
     def test_file_backed_overflow_round_trip(self, tmp_path):
         path = str(tmp_path / "overflow.jsonl")
-        log = QueryLog(capacity=1, overflow=QueryLogOverflow(path))
+        log = QueryLog(capacity=1, overflow_path=path)
         first = QueryLogEntry(query_id=1, statement="a")
         first.vertices = [(1, 0, "Map 1", 2, 10, 0.0, 0.1, 0.2, 0.0,
                            0.0, 0.3, 0.0, 0.3, 0, 0.2, 0.1, 2.0, True)]
