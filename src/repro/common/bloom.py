@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..errors import HiveError
+from .vector import dict_codes
 
 
 class BloomFilter:
@@ -44,8 +45,11 @@ class BloomFilter:
         self.count += 1
 
     def add_all(self, values) -> None:
-        for value in values:
-            self.add(value)
+        """Batch form of :meth:`add`: sets exactly the bits a loop would."""
+        positions, inverse = self._bit_positions(values)
+        np.bitwise_or.at(self.bits, positions >> 3,
+                         np.left_shift(1, positions & 7).astype(np.uint8))
+        self.count += len(inverse)
 
     # -- membership ---------------------------------------------------------- #
     def might_contain(self, value) -> bool:
@@ -56,10 +60,27 @@ class BloomFilter:
                 return False
         return True
 
-    def might_contain_many(self, values: np.ndarray) -> np.ndarray:
-        """Vector form; returns a boolean mask."""
-        return np.fromiter((self.might_contain(v) for v in values),
-                           dtype=bool, count=len(values))
+    def might_contain_many(self, values) -> np.ndarray:
+        """Batch form of :meth:`might_contain`; returns a boolean mask."""
+        positions, inverse = self._bit_positions(values)
+        hit = (self.bits[positions >> 3] >> (positions & 7)) & 1
+        return hit.all(axis=1)[inverse]
+
+    def _bit_positions(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, inverse)``: one row of ``num_hashes`` bit
+        positions per *distinct* value, and each value's row.
+
+        Only distinct values reach the hash; ``(h1 + i*h2) % m`` is taken
+        as ``(h1 % m + i * (h2 % m)) % m`` so it fits int64 — the same
+        positions as the scalar methods, which work in Python ints.
+        """
+        distinct, inverse = _distinct(values)
+        hashes = np.array([_double_hash(v) for v in distinct],
+                          dtype=np.uint64).reshape(-1, 2)
+        h1, h2 = (hashes % np.uint64(self.num_bits)).astype(np.int64).T
+        steps = np.arange(self.num_hashes, dtype=np.int64)
+        positions = (h1[:, None] + steps * h2[:, None]) % self.num_bits
+        return positions, inverse
 
     # -- merging ----------------------------------------------------------- #
     def merge(self, other: "BloomFilter") -> "BloomFilter":
@@ -83,3 +104,28 @@ def _double_hash(value) -> tuple[int, int]:
     h1 = int.from_bytes(digest[:8], "little")
     h2 = int.from_bytes(digest[8:], "little") | 1
     return h1, h2
+
+
+def _distinct(values) -> tuple[list, np.ndarray]:
+    """The distinct plain-Python values of ``values`` and, per input, its
+    index among them.
+
+    "Distinct" means *hashes apart*, i.e. by ``repr``: ``-0.0`` and
+    ``0.0`` compare equal but print differently, so floats are told
+    apart by bit pattern, and objects (and plain sequences, which may mix
+    ``1``, ``1.0`` and ``True``) by their ``repr`` itself.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != np.dtype(object):
+        if values.dtype.kind == "f":
+            uniq, inverse = np.unique(
+                values.view(f"i{values.dtype.itemsize}"),
+                return_inverse=True)
+            uniq = uniq.view(values.dtype)
+        else:
+            uniq, inverse = np.unique(values, return_inverse=True)
+        return uniq.tolist(), inverse
+    items = values.tolist() if isinstance(values, np.ndarray) \
+        else list(values)
+    keys = list(map(repr, items))
+    # one value per repr, in the first-occurrence order of dict_codes
+    return list(dict(zip(keys, items)).values()), dict_codes(keys)[1]

@@ -9,6 +9,7 @@ format so that IO, cache and execution share one representation.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -179,6 +180,20 @@ class VectorBatch:
         vectors = [ColumnVector.concat([b.vectors[i] for b in batches])
                    for i in range(len(schema))]
         return VectorBatch(schema, vectors)
+
+
+def dict_codes(items: list) -> tuple[dict, np.ndarray]:
+    """Factorize hashable ``items`` without sorting them.
+
+    Returns ``(index, codes)``: each distinct item's code in
+    first-occurrence order, and the int64 code of every item.  Items are
+    told apart the way a dict does (hash, then ``==``), and the per-item
+    work stays inside C loops.
+    """
+    index = dict(zip(dict.fromkeys(items), itertools.count()))
+    codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64,
+                        count=len(items))
+    return index, codes
 
 
 def batches_to_rows(batches: Iterable[VectorBatch]) -> list[tuple]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..common.rows import Column, Schema
 from ..common.types import BIGINT, DOUBLE
-from ..common.vector import ColumnVector, VectorBatch
+from ..common.vector import ColumnVector, VectorBatch, dict_codes
 from ..errors import ExecutionError, OutOfMemoryError
 from ..plan import relnodes as rel
 from ..plan import rexnodes as rex
@@ -309,28 +309,60 @@ def _aggregate_once(node: rel.Aggregate, child: VectorBatch,
     return _aggregate_rowwise(node, child, group_keys, sizes_out)
 
 
-def _group_codes(vector: ColumnVector) -> Optional[np.ndarray]:
-    """Dense int codes for one key column; NULL is its own group.
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(codes, cardinality)``: an int64 code in ``[0, cardinality)``
+    per value, equal codes exactly where values compare equal.
 
-    Returns None when the column cannot be factorized (unorderable
-    mixed-type object data) — the caller falls back to the row loop.
+    Objects (strings) are told apart by a dict, i.e. by Python equality,
+    without the sort ``np.unique`` would need; numeric arrays by
+    ``np.unique``, which folds ``-0.0`` into ``0.0`` and all NaNs into
+    one code.
+    """
+    if values.dtype == np.dtype(object):
+        index, codes = dict_codes(values.tolist())
+        return codes, len(index)
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), len(uniq)
+
+
+def _combine_codes(columns: Sequence[tuple[np.ndarray, int]]
+                   ) -> np.ndarray:
+    """One int64 per row from per-column ``(codes, cardinality)`` pairs,
+    by mixed radix: rows get equal results exactly where they agree in
+    every column.  Re-densified before the radix product could overflow.
+    """
+    combined, radix = columns[0]
+    for codes, cardinality in columns[1:]:
+        if radix * cardinality >= 1 << 62:
+            combined, radix = _dense_codes(combined)
+        combined = combined * cardinality + codes
+        radix *= cardinality
+    return combined
+
+
+def _group_codes(vector: ColumnVector) -> Optional[tuple[np.ndarray, int]]:
+    """Dense ``(codes, cardinality)`` for one key column; NULL is its
+    own group.
+
+    Returns None when the column cannot be factorized (unhashable
+    object data) — the caller falls back to the row loop.
     """
     vals = vector.data
     nulls = vector.nulls
     has_nulls = bool(nulls.any())
     if has_nulls:
         # values under null positions are unspecified garbage; blank
-        # them so np.unique never compares them against real values
+        # them so they are never compared against real values
         vals = vals.copy()
         vals[nulls] = "" if vals.dtype == np.dtype(object) else 0
     try:
-        uniq, inv = np.unique(vals, return_inverse=True)
+        codes, cardinality = _dense_codes(vals)
     except TypeError:
         return None
-    codes = inv.reshape(-1).astype(np.int64)
     if has_nulls:
-        codes[nulls] = len(uniq)
-    return codes
+        codes[nulls] = cardinality
+        cardinality += 1
+    return codes, cardinality
 
 
 def _factorize_keys(child: VectorBatch, group_keys: tuple[int, ...]):
@@ -351,9 +383,8 @@ def _factorize_keys(child: VectorBatch, group_keys: tuple[int, ...]):
         if codes is None:
             return None
         code_cols.append(codes)
-    mat = np.stack(code_cols, axis=1)
-    _, first_idx, inv = np.unique(mat, axis=0, return_index=True,
-                                  return_inverse=True)
+    _, first_idx, inv = np.unique(_combine_codes(code_cols),
+                                  return_index=True, return_inverse=True)
     inv = inv.reshape(-1)
     g = len(first_idx)
     order = np.argsort(first_idx, kind="stable")
@@ -670,29 +701,99 @@ def _candidate_pairs(left: VectorBatch, right: VectorBatch,
         li = np.repeat(np.arange(left.num_rows), right.num_rows)
         ri = np.tile(np.arange(right.num_rows), left.num_rows)
         return li.astype(np.int64), ri.astype(np.int64), None
-    # hash join: build on right
-    build: dict[tuple, list[int]] = {}
-    right_keys = [right.vectors[r] for _, r in pairs]
-    for i in range(right.num_rows):
-        if any(kc.nulls[i] for kc in right_keys):
-            continue
-        key = tuple(_plain(kc.data[i]) for kc in right_keys)
-        build.setdefault(key, []).append(i)
     left_keys = [left.vectors[l] for l, _ in pairs]
-    li_out: list[int] = []
-    ri_out: list[int] = []
-    key_counts: dict[tuple, int] = {}
-    for i in range(left.num_rows):
-        if any(kc.nulls[i] for kc in left_keys):
-            continue
-        key = tuple(_plain(kc.data[i]) for kc in left_keys)
-        matches = build.get(key)
-        if matches:
-            li_out.extend([i] * len(matches))
-            ri_out.extend(matches)
-            key_counts[key] = key_counts.get(key, 0) + len(matches)
-    return (np.asarray(li_out, dtype=np.int64),
-            np.asarray(ri_out, dtype=np.int64), key_counts)
+    right_keys = [right.vectors[r] for _, r in pairs]
+    probe_rows, probe_codes, build_rows, build_codes = _join_codes(
+        left_keys, right_keys)
+    # hash join, build on right: the build rows sorted by code (stably,
+    # so ascending within one code) are the buckets, and each probe
+    # row's bucket is the run of its code
+    order = np.argsort(build_codes, kind="stable")
+    build_rows, build_codes = build_rows[order], build_codes[order]
+    starts = np.searchsorted(build_codes, probe_codes, side="left")
+    matches = np.searchsorted(build_codes, probe_codes, side="right") - starts
+    li = np.repeat(probe_rows, matches)
+    # position of each output pair within its probe row's run
+    ends = np.cumsum(matches)
+    within = np.arange(len(li)) - np.repeat(ends - matches, matches)
+    ri = build_rows[np.repeat(starts, matches) + within]
+    return li, ri, _key_histogram(left_keys, probe_rows, probe_codes,
+                                  matches)
+
+
+def _join_codes(left_keys: list[ColumnVector],
+                right_keys: list[ColumnVector]):
+    """Factorize the key columns of both sides together.
+
+    Returns ``(probe_rows, probe_codes, build_rows, build_codes)``: the
+    ascending indices of the rows that *can* match — no NULL and no NaN
+    key, which equal nothing — and one int64 code per such row, equal
+    across the sides exactly where every key column is equal the way
+    Python compares plain values (``-0.0 = 0.0``, ``INT = DOUBLE`` and
+    ``BOOLEAN = INT`` by value; a string never equals a number).
+    """
+    none = np.empty(0, dtype=np.int64)
+    l_ok = np.ones(len(left_keys[0]), dtype=bool)
+    r_ok = np.ones(len(right_keys[0]), dtype=bool)
+    columns = []
+    for lv, rv in zip(left_keys, right_keys):
+        ld, rd = lv.data, rv.data
+        if (ld.dtype == np.dtype(object)) != (rd.dtype == np.dtype(object)):
+            return none, none, none, none
+        l_ok &= ~lv.nulls
+        r_ok &= ~rv.nulls
+        if ld.dtype.kind == "f" and rd.dtype.kind == "f":
+            # np.unique gives all NaNs one code; with none on the build
+            # side that code matches nothing
+            r_ok &= ~np.isnan(rd)
+        elif ld.dtype.kind == "f":
+            ld, whole = _whole_floats(ld)
+            l_ok &= whole
+        elif rd.dtype.kind == "f":
+            rd, whole = _whole_floats(rd)
+            r_ok &= whole
+        columns.append((ld, rd))
+    probe_rows = np.nonzero(l_ok)[0]
+    build_rows = np.nonzero(r_ok)[0]
+    codes = _combine_codes([
+        _dense_codes(np.concatenate([ld[probe_rows], rd[build_rows]]))
+        for ld, rd in columns])
+    return (probe_rows, codes[:len(probe_rows)],
+            build_rows, codes[len(probe_rows):])
+
+
+def _whole_floats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A DOUBLE column as int64, and which rows that is exact for.
+
+    Only those can equal an INT key; comparing in int64 rather than
+    float64 keeps integers beyond 2**53 apart, as Python does.
+    """
+    whole = ((data == np.floor(data))
+             & (data >= -2.0 ** 63) & (data < 2.0 ** 63))
+    return np.where(whole, data, 0.0).astype(np.int64), whole
+
+
+def _key_histogram(left_keys: list[ColumnVector], probe_rows: np.ndarray,
+                   probe_codes: np.ndarray, matches: np.ndarray
+                   ) -> Optional[dict]:
+    """Joined rows per key, keyed by the first matching probe row's plain
+    key tuple, in first-match order.  None (no histogram is kept) beyond
+    ``KEY_HISTOGRAM_MAX_KEYS`` keys.
+    """
+    matched = matches > 0
+    rows, run_lengths = probe_rows[matched], matches[matched]
+    _, first, inverse = np.unique(probe_codes[matched], return_index=True,
+                                  return_inverse=True)
+    if len(first) > KEY_HISTOGRAM_MAX_KEYS:
+        return None
+    # every probe row of one key matched the same run of build rows
+    totals = np.bincount(inverse.reshape(-1),
+                         minlength=len(first)) * run_lengths[first]
+    by_first_match = np.argsort(first, kind="stable")
+    return {
+        tuple(_plain(kc.data[row]) for kc in left_keys): total
+        for row, total in zip(rows[first[by_first_match]].tolist(),
+                              totals[by_first_match].tolist())}
 
 
 def _residual_mask(node, left, right, li, ri, residual,
@@ -718,20 +819,16 @@ def _combine(out_schema: Schema, left: VectorBatch, right: VectorBatch,
 
 
 def _take_padded(vector: ColumnVector, indices: np.ndarray) -> ColumnVector:
-    if len(indices) == 0:
-        return ColumnVector(vector.dtype,
-                            np.empty(0, dtype=vector.data.dtype),
-                            np.empty(0, dtype=bool))
-    safe = np.where(indices < 0, 0, indices)
-    data = vector.data[safe]
-    nulls = vector.nulls[safe] | (indices < 0)
     if len(vector.data) == 0:
-        # all padding
+        # an empty side has no row to take: all padding
         data = np.zeros(len(indices), dtype=vector.data.dtype) \
             if vector.data.dtype != np.dtype(object) else _empty_obj(
                 len(indices))
-        nulls = np.ones(len(indices), dtype=bool)
-    return ColumnVector(vector.dtype, data, nulls)
+        return ColumnVector(vector.dtype, data,
+                            np.ones(len(indices), dtype=bool))
+    safe = np.where(indices < 0, 0, indices)
+    return ColumnVector(vector.dtype, vector.data[safe],
+                        vector.nulls[safe] | (indices < 0))
 
 
 def _empty_obj(n: int) -> np.ndarray:

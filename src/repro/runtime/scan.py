@@ -47,14 +47,47 @@ class SemijoinFilter:
     @classmethod
     def from_vector(cls, column_name: str, vector: ColumnVector,
                     fpp: float) -> "SemijoinFilter":
-        values = {vector.data[i].item()
-                  if hasattr(vector.data[i], "item") else vector.data[i]
-                  for i in range(len(vector)) if not vector.nulls[i]}
-        bloom = BloomFilter(max(len(values), 8), fpp)
-        bloom.add_all(values)
-        lo = min(values) if values else None
-        hi = max(values) if values else None
-        return cls(column_name, lo, hi, bloom, len(values))
+        keys = vector.data[~vector.nulls]
+        if keys.dtype == np.dtype(object):
+            distinct = sorted(set(keys.tolist()))
+        else:
+            if keys.dtype.kind == "f":
+                # NaN never equi-joins, so it stays out of the bounds and
+                # the Bloom; -0.0 = 0.0 joins, so both hash as 0.0
+                keys = keys[~np.isnan(keys)] + 0.0
+            distinct = np.unique(keys).tolist()
+        bloom = BloomFilter(max(len(distinct), 8), fpp)
+        bloom.add_all(distinct)
+        lo, hi = (distinct[0], distinct[-1]) if distinct else (None, None)
+        return cls(column_name, lo, hi, bloom, len(distinct))
+
+    def might_match(self, vector: ColumnVector) -> np.ndarray:
+        """Mask of probe rows that may equal a build-side key.
+
+        The Bloom hashes ``repr`` of the build side's plain values, so a
+        probe column of another numeric kind is first brought to that
+        kind (``7`` and ``7.0`` join but print differently); a fractional
+        DOUBLE can equal no INT or BOOLEAN key.
+        """
+        values = vector.data
+        lo = self.min_value
+        is_text = values.dtype == np.dtype(object)
+        if lo is None or is_text != isinstance(lo, str):
+            # empty build side, or strings against numbers: nothing joins
+            return np.zeros(len(values), dtype=bool)
+        mask = ~vector.nulls
+        if not is_text:
+            mask &= (values >= lo) & (values <= self.max_value)
+            if values.dtype.kind == "f" and not isinstance(lo, float):
+                mask &= values == np.floor(values)
+        survivors = np.nonzero(mask)[0]
+        probe = values[survivors]
+        if isinstance(lo, float):
+            probe = probe.astype(np.float64) + 0.0
+        elif not is_text:
+            probe = probe.astype(type(lo), copy=False)
+        mask[survivors] = self.bloom.might_contain_many(probe)
+        return mask
 
 
 @dataclass
@@ -336,23 +369,7 @@ class ScanExecutor:
             sj = self.semijoin_filters.get(reducer_id)
             if sj is None or sj.column not in batch.schema:
                 continue
-            if sj.min_value is None:
-                # empty build side: nothing can join
-                metrics.semijoin_filtered_rows += batch.num_rows
-                return VectorBatch.empty(batch.schema)
-            vector = batch.column(sj.column)
-            mask = np.ones(batch.num_rows, dtype=bool)
-            if vector.data.dtype != np.dtype(object):
-                mask &= (vector.data >= sj.min_value) & (
-                    vector.data <= sj.max_value)
-            mask &= ~vector.nulls
-            survivors = np.nonzero(mask)[0]
-            for i in survivors:
-                value = vector.data[i]
-                if hasattr(value, "item"):
-                    value = value.item()
-                if not sj.bloom.might_contain(value):
-                    mask[i] = False
+            mask = sj.might_match(batch.column(sj.column))
             metrics.semijoin_filtered_rows += int(
                 batch.num_rows - mask.sum())
             batch = batch.filter(mask)

@@ -4,13 +4,16 @@ windows — directly against the interpreter with hand-built plans.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rows import Column, Schema
-from repro.common.types import BIGINT, DOUBLE, INT, STRING
+from repro.common.types import BIGINT, BOOLEAN, DATE, DOUBLE, INT, STRING
 from repro.common.vector import VectorBatch
 from repro.errors import ExecutionError, OutOfMemoryError
 from repro.exec.operators import ExecutionContext, execute
 from repro.plan import relnodes as rel
+from repro.plan import rexnodes as rex
 from repro.plan.rexnodes import (AggregateCall, RexInputRef, RexLiteral,
                                  make_call)
 
@@ -62,6 +65,13 @@ class TestJoins:
     def test_full_outer(self):
         rows = execute(join("full"), make_ctx()).to_rows()
         assert len(rows) == 4 + 2 + 2
+
+    def test_outer_join_pads_an_empty_side(self):
+        data = {"l": VectorBatch.from_rows(LEFT, LEFT_ROWS),
+                "r": VectorBatch.from_rows(RIGHT, [])}
+        ctx = ExecutionContext(scan_executor=lambda n: data[n.table_name])
+        rows = execute(join("left"), ctx).to_rows()
+        assert rows == [row + (None, None) for row in LEFT_ROWS]
 
     def test_semi_and_anti(self):
         semi = execute(join("semi"), make_ctx()).to_rows()
@@ -383,3 +393,126 @@ class TestVectorizedAggregationParity:
             (AggregateCall("count", 1, BIGINT, "c", distinct=True),),
             ("g",))
         assert ops._aggregate_vectorized(node, batch, (0,), None) is None
+
+
+# --------------------------------------------------------------------------- #
+# the hash join against the row loop it replaced
+
+def _candidate_pairs_rowloop(left, right, pairs):
+    """The former ``operators._candidate_pairs``: a Python dict built and
+    probed row by row.  Kept as the oracle for pair order, key equality
+    and the per-key histogram."""
+    import numpy as np
+    from repro.exec.operators import _plain
+    build = {}
+    right_keys = [right.vectors[r] for _, r in pairs]
+    for i in range(right.num_rows):
+        if any(kc.nulls[i] for kc in right_keys):
+            continue
+        key = tuple(_plain(kc.data[i]) for kc in right_keys)
+        build.setdefault(key, []).append(i)
+    left_keys = [left.vectors[l] for l, _ in pairs]
+    li_out, ri_out, key_counts = [], [], {}
+    for i in range(left.num_rows):
+        if any(kc.nulls[i] for kc in left_keys):
+            continue
+        key = tuple(_plain(kc.data[i]) for kc in left_keys)
+        matches = build.get(key)
+        if matches:
+            li_out.extend([i] * len(matches))
+            ri_out.extend(matches)
+            key_counts[key] = key_counts.get(key, 0) + len(matches)
+    return (np.asarray(li_out, dtype=np.int64),
+            np.asarray(ri_out, dtype=np.int64), key_counts)
+
+
+_NAN = float("nan")
+_KEY_POOLS = {
+    INT: [None, 0, 1, 2, 3, -1, 2**53, 2**53 + 1],
+    DOUBLE: [None, 0.0, -0.0, 1.0, 2.0, 1.5, _NAN, 2.0**53, float("inf")],
+    STRING: [None, "", "a", "b", "ab"],
+    BOOLEAN: [None, True, False],
+    DATE: [None, 0, 1, 2],
+}
+#: (probe type, build type) per key column; INT/STRING yields no pairs
+_KEY_TYPES = [(INT, INT), (INT, DOUBLE), (DOUBLE, INT), (DOUBLE, DOUBLE),
+              (STRING, STRING), (BOOLEAN, INT), (DOUBLE, BOOLEAN),
+              (DATE, INT), (INT, STRING)]
+
+
+@st.composite
+def _join_inputs(draw):
+    types = draw(st.lists(st.sampled_from(_KEY_TYPES), min_size=1,
+                          max_size=3))
+    sides = []
+    for side in (0, 1):
+        columns = [Column(f"k{side}{i}", pair[side])
+                   for i, pair in enumerate(types)]
+        rows = draw(st.lists(
+            st.tuples(*(st.sampled_from(_KEY_POOLS[c.dtype])
+                        for c in columns)), max_size=12))
+        schema = Schema(columns + [Column(f"row{side}", INT)])
+        sides.append(VectorBatch.from_rows(
+            schema, [row + (i,) for i, row in enumerate(rows)]))
+    return types, sides[0], sides[1]
+
+
+class TestHashJoinParity:
+    @given(_join_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_and_histogram_match_the_row_loop(self, inputs):
+        from repro.exec.operators import _candidate_pairs
+        types, left, right = inputs
+        pairs = [(i, i) for i in range(len(types))]
+        li, ri, counts = _candidate_pairs(left, right, pairs)
+        want_li, want_ri, want_counts = _candidate_pairs_rowloop(
+            left, right, pairs)
+        assert li.dtype == ri.dtype == want_li.dtype
+        assert (li.tolist(), ri.tolist()) == (
+            want_li.tolist(), want_ri.tolist())
+        # same keys, same repr (-0.0 vs 0.0, 7 vs 7.0), same order
+        assert repr(list(counts.items())) == repr(
+            list(want_counts.items()))
+
+    @given(_join_inputs(), st.sampled_from(
+        ["inner", "left", "right", "full", "semi", "anti"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_join_kind_matches_the_row_loop(self, inputs, kind):
+        from repro.exec import operators as ops
+        types, left, right = inputs
+        width = len(left.schema)
+        condition = rex.make_and([
+            make_call("=", RexInputRef(i, probe),
+                      RexInputRef(width + i, build))
+            for i, (probe, build) in enumerate(types)])
+        node = rel.Join(scan("l", left.schema), scan("r", right.schema),
+                        kind, condition)
+        ctx = ExecutionContext(scan_executor=None)
+        rows = ops.join_batches(node, left, right, ctx).to_rows()
+        want_ctx = ExecutionContext(scan_executor=None)
+        fast = ops._candidate_pairs
+        ops._candidate_pairs = _candidate_pairs_rowloop
+        try:
+            want = ops.join_batches(node, left, right, want_ctx).to_rows()
+        finally:
+            ops._candidate_pairs = fast
+        assert repr(rows) == repr(want)
+        assert repr(ctx.key_counts) == repr(want_ctx.key_counts)
+
+    def test_no_histogram_beyond_the_key_limit(self):
+        from repro.exec import operators as ops
+        n = ops.KEY_HISTOGRAM_MAX_KEYS + 1
+        schema = Schema([Column("k", INT)])
+        batch = VectorBatch.from_rows(schema, [(i,) for i in range(n)])
+        li, ri, counts = ops._candidate_pairs(batch, batch, [(0, 0)])
+        assert li.tolist() == ri.tolist() == list(range(n))
+        assert counts is None
+
+    def test_radix_overflow_is_redensified(self):
+        import numpy as np
+        from repro.exec import operators as ops
+        codes = np.array([0, 1, 2, 1], dtype=np.int64)
+        wide = [(codes * (2**40 - 1) // 2, 2**40)] * 3
+        combined = ops._combine_codes(wide)
+        assert combined[1] == combined[3]
+        assert len(set(combined.tolist())) == 3

@@ -107,6 +107,91 @@ class TestSemijoinFilter:
         assert sj.bloom.might_contain(5)
         assert sj.bloom.might_contain(9)
 
+    def test_nan_build_key_stays_out_of_bounds_and_bloom(self):
+        # NaN never equi-joins; as a bound it would make the range test
+        # reject every probe row
+        from repro.common.types import DOUBLE
+        from repro.common.vector import ColumnVector
+        nan = float("nan")
+        for keys in ([nan, 3.0, 1.0], [3.0, nan, 1.0], [3.0, 1.0, nan]):
+            sj = SemijoinFilter.from_vector(
+                "k", ColumnVector.from_values(DOUBLE, keys), 0.05)
+            assert (sj.min_value, sj.max_value) == (1.0, 3.0)
+            assert sj.build_rows == 2
+            assert not sj.bloom.might_contain(nan)
+            probe = ColumnVector.from_values(DOUBLE, [1.0, nan, 3.0, None])
+            assert sj.might_match(probe).tolist() == [
+                True, False, True, False]
+
+    def test_all_nan_or_all_null_build_side_is_empty(self):
+        from repro.common.types import DOUBLE
+        from repro.common.vector import ColumnVector
+        probe = ColumnVector.from_values(DOUBLE, [1.0, None])
+        for keys in ([], [None, None], [float("nan")] * 3):
+            sj = SemijoinFilter.from_vector(
+                "k", ColumnVector.from_values(DOUBLE, keys), 0.05)
+            assert (sj.min_value, sj.max_value) == (None, None)
+            assert sj.build_rows == 0
+            assert not sj.might_match(probe).any()
+
+    def test_negative_zero_probes_equal_to_zero(self):
+        from repro.common.types import DOUBLE
+        from repro.common.vector import ColumnVector
+        sj = SemijoinFilter.from_vector(
+            "k", ColumnVector.from_values(DOUBLE, [-0.0]), 0.05)
+        probe = ColumnVector.from_values(DOUBLE, [0.0, -0.0])
+        assert sj.might_match(probe).all()
+
+    def test_probe_is_brought_to_the_build_sides_kind(self):
+        from repro.common.types import BOOLEAN, DOUBLE
+        from repro.common.vector import ColumnVector
+        ints = SemijoinFilter.from_vector(
+            "k", ColumnVector.from_values(INT, [1, 7]), 0.0001)
+        assert ints.might_match(ColumnVector.from_values(
+            DOUBLE, [7.0, 7.5, 1.0, 3.0, None])).tolist() == [
+                True, False, True, False, False]
+        assert ints.might_match(ColumnVector.from_values(
+            BOOLEAN, [True, False])).tolist() == [True, False]
+        doubles = SemijoinFilter.from_vector(
+            "k", ColumnVector.from_values(DOUBLE, [1.0, 7.0, 2.5]), 0.0001)
+        assert doubles.might_match(ColumnVector.from_values(
+            INT, [7, 2, 1, None])).tolist() == [True, False, True, False]
+        # strings and numbers never join
+        assert not ints.might_match(ColumnVector.from_values(
+            STRING, ["1", "7"])).any()
+
+    @pytest.mark.parametrize("fact_type, dim_type, dim_key", [
+        ("INT", "DOUBLE", "{i}.0"), ("DOUBLE", "INT", "{i}"),
+        ("INT", "INT", "{i}"), ("DOUBLE", "DOUBLE", "{i}.0")])
+    def test_mixed_type_keys_join_the_same_with_reduction_on_and_off(
+            self, fact_type, dim_type, dim_key):
+        # the Bloom hashes repr: 7 and 7.0 join, but print differently
+        s = repro.HiveServer2(HiveConf.v3_profile()).connect()
+        s.conf.results_cache_enabled = False
+        s.execute(f"CREATE TABLE fact (k {fact_type}, v INT)")
+        s.execute(f"CREATE TABLE dim (d {dim_type}, name STRING)")
+        s.execute("INSERT INTO fact VALUES " + ", ".join(
+            f"({i % 50}, {i})" for i in range(5000)))
+        s.execute("INSERT INTO dim VALUES " + ", ".join(
+            f"({dim_key.format(i=i)}, 'n{i}')" for i in range(50)))
+        # a fractional fact key can equal no dimension key of either type
+        s.execute("INSERT INTO fact VALUES (7.5, -1)"
+                  if fact_type == "DOUBLE" else
+                  "INSERT INTO dim VALUES (7.5, 'n7')"
+                  if dim_type == "DOUBLE" else
+                  "INSERT INTO fact VALUES (NULL, -1)")
+        query = ("SELECT COUNT(*), SUM(v) FROM fact JOIN dim ON k = d "
+                 "WHERE name = 'n7'")
+        counts = {}
+        for setting in ("true", "false"):
+            s.execute(f"SET hive.optimize.semijoin.reduction={setting}")
+            result = s.execute(query)
+            counts[setting] = result.rows
+            assert bool(result.optimized.semijoin_reducers) == (
+                setting == "true")
+        assert counts["true"] == counts["false"]
+        assert counts["true"][0][0] == 100
+
     def test_empty_build_side_filters_everything(self, session):
         # a dimension filter matching nothing: the fact scan must return
         # zero rows without error

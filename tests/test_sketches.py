@@ -110,6 +110,16 @@ class TestHyperLogLog:
         assert left.merge(right).cardinality() == union.cardinality()
 
 
+def _object_array(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _plain_values(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 class TestBloomFilter:
     def test_no_false_negatives(self):
         bloom = BloomFilter(1000, 0.03)
@@ -153,3 +163,45 @@ class TestBloomFilter:
         bloom = BloomFilter(max(len(values), 1), 0.01)
         bloom.add_all(values)
         assert all(bloom.might_contain(v) for v in values)
+
+    # the batch forms against a loop of the scalar ones: same verdicts,
+    # same bits — the ORC footers and the virtual clock depend on it
+    ARRAYS = st.one_of(
+        st.lists(st.integers(-2**31, 2**31 - 1), max_size=60).map(
+            lambda v: np.array(v, dtype=np.int32)),
+        st.lists(st.integers(-2**63, 2**63 - 1), max_size=60).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0])),
+                 max_size=60).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(st.booleans(), max_size=60).map(
+            lambda v: np.array(v, dtype=bool)),
+        st.lists(st.text(max_size=4), max_size=60).map(_object_array),
+        # plain lists may mix 1, 1.0 and True: equal, hashed apart
+        st.lists(st.one_of(st.integers(-3, 3), st.booleans(),
+                           st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                           st.text(max_size=2)), max_size=60))
+
+    @given(ARRAYS, ARRAYS)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_forms_match_scalar_loop(self, added, probed):
+        batch = BloomFilter(max(len(added), 8), 0.05)
+        loop = BloomFilter(max(len(added), 8), 0.05)
+        batch.add_all(added)
+        for value in _plain_values(added):
+            loop.add(value)
+        assert batch.bits.tobytes() == loop.bits.tobytes()
+        assert batch.count == loop.count
+        for values in (added, probed):
+            mask = batch.might_contain_many(values)
+            assert mask.dtype == bool
+            assert mask.tolist() == [loop.might_contain(v)
+                                     for v in _plain_values(values)]
+
+    def test_batch_probe_distinguishes_equal_values_hashed_apart(self):
+        bloom = BloomFilter(8, 0.0001)
+        bloom.add_all([1, -0.0])
+        assert bloom.might_contain_many([1, 1.0, True, 0.0, -0.0]).tolist() \
+            == [True, False, False, False, True]
+        assert bloom.might_contain_many(
+            np.array([0.0, -0.0])).tolist() == [False, True]
+
