@@ -18,10 +18,6 @@ from ..errors import ExecutionError
 from .rows import Schema
 from .types import DataType
 
-#: default number of rows per batch (Hive uses 1024).
-DEFAULT_BATCH_SIZE = 1024
-
-
 class ColumnVector:
     """One column worth of values plus a null mask.
 
@@ -194,19 +190,3 @@ def dict_codes(items: list) -> tuple[dict, np.ndarray]:
     codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64,
                         count=len(items))
     return index, codes
-
-
-def batches_to_rows(batches: Iterable[VectorBatch]) -> list[tuple]:
-    rows: list[tuple] = []
-    for batch in batches:
-        rows.extend(batch.to_rows())
-    return rows
-
-
-def rows_to_batches(schema: Schema, rows: Sequence[Sequence],
-                    batch_size: int = DEFAULT_BATCH_SIZE):
-    """Yield :class:`VectorBatch` chunks of at most ``batch_size`` rows."""
-    for start in range(0, len(rows), batch_size):
-        yield VectorBatch.from_rows(schema, rows[start:start + batch_size])
-    if not rows:
-        yield VectorBatch.empty(schema)

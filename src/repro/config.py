@@ -302,14 +302,6 @@ class HiveConf:
     vectorized_execution: bool = knob(
         True, "hive.vectorized.execution.enabled", plan=True,
         doc="columnar operator execution (cost-model era toggle)")
-    vectorized_compile: bool = knob(
-        True, "hive.vectorized.compile.enabled",
-        doc="lower expressions once per plan into fused numpy kernels; "
-            "off = per-batch interpreter")
-    vectorized_fusion: bool = knob(
-        True, "hive.vectorized.fusion.enabled",
-        doc="fuse Filter->Project so the selection mask is applied "
-            "only to projected columns")
     llap_enabled: bool = knob(
         True, "hive.llap.execution.mode", "hive.llap.enabled", plan=True,
         doc="run fragments on long-lived LLAP daemons instead of fresh "

@@ -1,42 +1,57 @@
-"""Expression kernel compiler: lower a Rex tree once, run it per batch.
+"""Rex expression evaluation: lower a tree once, run it per batch.
 
-The interpreter in :mod:`repro.exec.expr_eval` re-walks the expression
-tree for every batch — isinstance checks, dict dispatch, per-row Python
-loops for string functions.  That is fine for a reference
-implementation and fatal for a hot path ([39] credits batch-at-a-time
-kernels for Hive's vectorized runtime wins).  This module lowers a
-:class:`~repro.plan.rexnodes.RexNode` **once** into a chain of fused
-closures:
+This module owns *how a Rex expression is evaluated*.  A
+:class:`~repro.plan.rexnodes.RexNode` is lowered **once** into a chain
+of closures over numpy arrays — the "vectorized operators" half of
+Hive's runtime improvements ([39], Section 5) — and the resulting
+kernel ``fn(batch, ctx) -> ColumnVector`` is what operators, DML and
+the optimizer's constant folding run:
 
-* dispatch happens at *compile* time — the produced kernel is a plain
-  Python closure calling straight into numpy, no AST in sight;
+* dispatch happens at *lowering* time — a kernel is a plain Python
+  closure calling straight into numpy, no AST in sight;
 * dtype decisions (comparison alignment, cast direction, branch
-  coercions) are resolved from the static Rex types at compile time;
-* literal-only, context-independent subtrees are constant-folded into
-  a single broadcast;
-* the per-row loops of the interpreter (UPPER/LOWER/LENGTH/TRIM/
-  SUBSTR/CONCAT, string CAST) become object-array ufuncs
-  (``np.frompyfunc``) or direct array ops;
-* ``RAND``/``CURRENT_DATE``/``CURRENT_TIMESTAMP`` read the
-  :class:`~repro.exec.expr_eval.EvalContext` exactly like the
-  interpreter, so compiled plans stay deterministic under replay.
+  coercions) are resolved from the static Rex types at lowering time;
+* a literal-only, context-independent subtree is folded into a single
+  broadcast by running its own freshly built kernel over one row;
+* string functions and string casts are object-array ufuncs
+  (``np.frompyfunc``) or direct array ops, not per-row Python;
+* what cannot be lowered is an error *at lowering time*: an operator
+  without a compiler, a non-literal ``IN`` list or ``LIKE`` pattern.
 
-Compiled kernels are memoized in a :class:`KernelCache` keyed by the
+The per-row Python loops that remain are named as such:
+:func:`_rowwise_kernel` (``HASH``, a ``SUBSTR`` whose bounds are
+columns, a ``ROUND`` whose digits are a column) and the calendar
+arithmetic of :func:`add_months_array`.
+
+NULL semantics: three-valued logic for comparisons and AND/OR; nulls
+propagate through arithmetic and functions; predicates treat NULL as
+false at filter time.  Data under a null position is unspecified.
+
+Determinism: expressions never read the wall clock or unseeded process
+randomness.  ``CURRENT_DATE``/``CURRENT_TIMESTAMP`` resolve against the
+:class:`EvalContext`'s *virtual* statement time (pinned once per
+statement from the session clock) and ``RAND`` is a pure function of
+(seed-or-query-id, absolute row index), so repeated runs — including
+seeded fault replays — are bit-identical.
+
+Kernels are memoized in a :class:`KernelCache` keyed by the
 expression's *typed digest* (digest + input-ref types — two plans may
 share a digest over differently-typed inputs).  The serving layer
 hangs one cache off every compiled-plan-cache entry, so repeated
-fingerprints pay compilation once.
+fingerprints pay lowering once.
 
-Semantics contract: a kernel must be *bit-identical* to the
-interpreter on every input (values and null masks; data under null
-positions is unspecified in both).  tests/test_expr_compile.py pins
-this with randomized parity runs.
+The tree-walking interpreter this module displaced lives on as
+``tests/expr_oracle.py``; tests/test_expr_compile.py pins every kernel
+to it, values and null masks, over randomized batches.
 """
 
 from __future__ import annotations
 
+import datetime
 import itertools
 import operator as _op
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +62,46 @@ from ..common.types import (BOOLEAN, DATE, DOUBLE, INT, TIMESTAMP,
 from ..common.vector import ColumnVector, VectorBatch
 from ..errors import ExecutionError
 from ..plan.rexnodes import RexCall, RexInputRef, RexLiteral, RexNode
-from . import expr_eval
-from .expr_eval import (CONTEXT_DEPENDENT_OPS, EvalContext, _broadcast,
-                        _like_to_regex, add_months_array, extract_unit,
-                        rand_base, rand_vector)
+
+_EPOCH = datetime.date(1970, 1, 1)
+_EPOCH_DT = datetime.datetime(1970, 1, 1)
+
+#: operators whose value depends on the evaluation context rather than
+#: the input batch alone — never constant-folded, here or by the
+#: optimizer
+CONTEXT_DEPENDENT_OPS = frozenset({
+    "RAND", "CURRENT_DATE", "CURRENT_TIMESTAMP",
+})
+
+
+@dataclass
+class EvalContext:
+    """Statement-scoped inputs for context-dependent expressions.
+
+    Everything non-deterministic an expression may observe comes from
+    here, pinned at statement start on the session's *virtual* clock —
+    never the wall clock — so a statement sees one consistent
+    ``CURRENT_TIMESTAMP`` and repeated runs reproduce bit-identically.
+    """
+
+    #: virtual statement time, seconds since the virtual epoch
+    now_s: float = 0.0
+    #: query id of the statement being evaluated (salts unseeded RAND)
+    query_id: int = 0
+    #: absolute row index of the batch's first row (RAND stream offset)
+    row_offset: int = 0
+
+    def statement_date(self) -> datetime.date:
+        return _EPOCH + datetime.timedelta(days=int(self.now_s // 86400.0))
+
+    def statement_timestamp(self) -> datetime.datetime:
+        ms = int(round(self.now_s * 1000.0))
+        return _EPOCH_DT + datetime.timedelta(milliseconds=ms)
+
+
+#: fallback context: the virtual epoch (deterministic, not wall time)
+DEFAULT_CONTEXT = EvalContext()
+
 
 #: default LRU bound of a KernelCache (per plan-cache entry / per query)
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
@@ -75,15 +126,29 @@ def compile_expr(expr: RexNode):
 
 def compile_predicate(expr: RexNode):
     """Lower ``expr`` to a mask kernel: ``fn(batch, ctx) -> bool array``
-    (NULL treated as false, like ``evaluate_predicate``)."""
-    kernel = _compile(expr)
+    with NULL treated as false."""
+    return _as_mask(_compile(expr))
 
+
+def _as_mask(kernel):
     def mask_kernel(batch, ctx) -> np.ndarray:
         result = kernel(batch, ctx)
         mask = result.data.astype(bool, copy=True)
         mask[result.nulls] = False
         return mask
     return mask_kernel
+
+
+def evaluate(expr: RexNode, batch: VectorBatch,
+             ctx: EvalContext | None = None) -> ColumnVector:
+    """Lower and run once — for callers with one batch per expression."""
+    return compile_expr(expr)(batch, ctx or DEFAULT_CONTEXT)
+
+
+def evaluate_predicate(expr: RexNode, batch: VectorBatch,
+                       ctx: EvalContext | None = None) -> np.ndarray:
+    """Lower and run once; boolean mask with NULL treated as false."""
+    return compile_predicate(expr)(batch, ctx or DEFAULT_CONTEXT)
 
 
 def typed_digest(expr: RexNode) -> str:
@@ -160,9 +225,10 @@ class KernelCache:
 
 
 # --------------------------------------------------------------------------- #
-# compilation core
+# lowering core
 
-_DUMMY_SCHEMA = Schema([Column("__d__", INT)])
+#: the one-row input constant folding runs a literal-only kernel over
+_ONE_ROW = VectorBatch.from_rows(Schema([Column("__d__", INT)]), [(0,)])
 
 
 def _compile(expr: RexNode):
@@ -177,29 +243,34 @@ def _compile(expr: RexNode):
         return _literal_kernel(expr.value, expr.dtype)
 
     if not isinstance(expr, RexCall):
-        raise ExecutionError(f"cannot compile {expr!r}")
-
-    folded = _try_fold(expr)
-    if folded is not None:
-        return folded
+        raise ExecutionError(f"cannot evaluate {expr!r}")
 
     compiler = _COMPILERS.get(expr.op)
     if compiler is None:
-        return _interpret_kernel(expr)
-    kids = [_compile(o) for o in expr.operands]
-    return compiler(expr, kids)
+        raise ExecutionError(f"no evaluator for operator {expr.op!r}")
+    kernel = compiler(expr, [_compile(o) for o in expr.operands])
+    return _try_fold(expr, kernel)
+
+
+def _broadcast(value, dtype: DataType, n: int) -> ColumnVector:
+    storage = dtype.to_storage(value)
+    np_dtype = dtype.numpy_dtype
+    if value is None:
+        data = np.zeros(n, dtype=np_dtype)
+        if np_dtype == _OBJECT:
+            data[:] = ""
+        return ColumnVector(dtype, data, np.ones(n, dtype=bool))
+    if np_dtype == _OBJECT:
+        data = np.empty(n, dtype=object)
+        data[:] = storage
+    else:
+        data = np.full(n, storage, dtype=np_dtype)
+    return ColumnVector(dtype, data, np.zeros(n, dtype=bool))
 
 
 def _literal_kernel(value, dtype: DataType):
     def kernel(batch, ctx):
         return _broadcast(value, dtype, batch.num_rows)
-    return kernel
-
-
-def _interpret_kernel(expr: RexCall):
-    """Fallback for rare ops: defer the subtree to the interpreter."""
-    def kernel(batch, ctx):
-        return expr_eval.evaluate(expr, batch, ctx)
     return kernel
 
 
@@ -211,22 +282,39 @@ def _has_context_op(expr: RexNode) -> bool:
     return False
 
 
-def _try_fold(expr: RexCall):
+def _try_fold(expr: RexCall, kernel):
     """Constant-fold a literal-only, context-independent subtree.
 
-    Deeper than the optimizer's literal folding: any subtree with no
-    input refs folds, not just single calls over literal operands.
+    Operands were lowered (and folded) first, so this runs bottom-up:
+    the subtree's own kernel is evaluated over one row and replaced by
+    a broadcast of that value.  Deeper than the optimizer's literal
+    folding, which only folds single calls over literal operands.
     RAND/CURRENT_* never fold — their value belongs to the statement,
-    not the plan.
+    not the plan.  A kernel that raises is left to raise at run time.
     """
     if expr.input_refs() or _has_context_op(expr):
-        return None
+        return kernel
     try:
-        batch = VectorBatch.from_rows(_DUMMY_SCHEMA, [(0,)])
-        result = expr_eval.evaluate(expr, batch)
-        return _literal_kernel(result.value(0), expr.dtype)
+        value = kernel(_ONE_ROW, DEFAULT_CONTEXT).value(0)
     except Exception:
-        return None
+        return kernel
+    return _literal_kernel(value, expr.dtype)
+
+
+def _rowwise_kernel(expr: RexCall, kids, fn):
+    """A per-row Python loop: ``fn`` over the plain values of each row
+    with no NULL argument.  Only for what has no array form."""
+    def kernel(batch, ctx):
+        args = [kid(batch, ctx) for kid in kids]
+        n = batch.num_rows
+        nulls = np.zeros(n, dtype=bool)
+        for a in args:
+            nulls |= a.nulls
+        out = _broadcast(None, expr.dtype, n).data
+        for i in np.flatnonzero(~nulls).tolist():
+            out[i] = fn(*[a.data[i] for a in args])
+        return ColumnVector(expr.dtype, out, nulls)
+    return kernel
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +461,7 @@ def _compile_in(expr: RexCall, kids):
     values = []
     for v in expr.operands[1:]:
         if not isinstance(v, RexLiteral):
-            return _interpret_kernel(expr)
+            raise ExecutionError("IN list values must be literals")
         values.append(operand_dtype.to_storage(v.value))
     a_k = kids[0]
     if operand_dtype.numpy_dtype == _OBJECT:
@@ -395,10 +483,22 @@ def _compile_in(expr: RexCall, kids):
     return kernel
 
 
+def _like_to_regex(pattern: str) -> re.Pattern:
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    return re.compile("".join(out) + r"\Z", re.DOTALL)
+
+
 def _compile_like(expr: RexCall, kids):
     pattern = expr.operands[1]
     if not isinstance(pattern, RexLiteral):
-        return _interpret_kernel(expr)
+        raise ExecutionError("LIKE pattern must be a literal")
     regex = _like_to_regex(str(pattern.value))
     matcher = np.frompyfunc(lambda x: bool(regex.match(str(x))), 1, 1)
     a_k = kids[0]
@@ -430,15 +530,14 @@ def _compile_case(expr: RexCall, kids):
     pairs, default = operands[:-1], operands[-1]
     branches = []         # (mask kernel, value kernel, cast plan)
     for i in range(0, len(pairs), 2):
-        branches.append((compile_predicate(pairs[i]), kids[i + 1],
+        branches.append((_as_mask(kids[i]), kids[i + 1],
                          _cast_plan(pairs[i + 1].dtype, target)))
     default_kernel = kids[-1]
     default_plan = _cast_plan(default.dtype, target)
 
     def kernel(batch, ctx):
         n = batch.num_rows
-        result = _broadcast(None, target, n)
-        data = result.data.copy()
+        data = _broadcast(None, target, n).data
         nulls = np.ones(n, dtype=bool)
         decided = np.zeros(n, dtype=bool)
         for mask_k, value_k, plan in branches:
@@ -462,7 +561,7 @@ def _compile_case(expr: RexCall, kids):
 
 def _compile_if(expr: RexCall, kids):
     target = expr.dtype
-    cond_k = compile_predicate(expr.operands[0])
+    cond_k = _as_mask(kids[0])
     then_k, else_k = kids[1], kids[2]
     then_plan = _cast_plan(expr.operands[1].dtype, target)
     else_plan = _cast_plan(expr.operands[2].dtype, target)
@@ -480,16 +579,10 @@ def _compile_if(expr: RexCall, kids):
 def _compile_coalesce(expr: RexCall, kids):
     target = expr.dtype
     plans = [_cast_plan(o.dtype, target) for o in expr.operands]
-    np_dtype = target.numpy_dtype
-    is_object = np_dtype == _OBJECT
 
     def kernel(batch, ctx):
         n = batch.num_rows
-        if is_object:
-            out = np.empty(n, dtype=object)
-            out[:] = ""
-        else:
-            out = np.zeros(n, dtype=np_dtype)
+        out = _broadcast(None, target, n).data
         nulls = np.ones(n, dtype=bool)
         for kid, plan in zip(kids, plans):
             arg = kid(batch, ctx)
@@ -578,18 +671,66 @@ def _compile_cast(expr: RexCall, kids):
 # --------------------------------------------------------------------------- #
 # temporal
 
-def _compile_extract(expr: RexCall, kids):
-    unit = expr.op.split("_", 1)[1]
-    a_k, = kids
-
-    def kernel(batch, ctx):
-        operand = a_k(batch, ctx)
-        return ColumnVector(INT, extract_unit(unit, operand),
-                            operand.nulls.copy())
-    return kernel
+def _dates_of(operand: ColumnVector) -> np.ndarray:
+    """Convert a DATE (days) or TIMESTAMP (millis) vector to datetime64[D]."""
+    if operand.dtype._family() == "TIMESTAMP":
+        return operand.data.astype("datetime64[ms]").astype("datetime64[D]")
+    return operand.data.astype(np.int64).astype("datetime64[D]")
 
 
-def _compile_extract_alias(unit: str):
+def iso_week(days: np.ndarray) -> np.ndarray:
+    """ISO-8601 week of year, vectorized.
+
+    Weeks run Monday-Sunday and week 1 is the week containing the
+    year's first Thursday, so a date's week number is determined by the
+    Thursday of its own week — matching ``date.isocalendar()`` (and
+    Hive's ``weekofyear``) including the years with a week 53.
+    """
+    d = days.astype("datetime64[D]").astype(np.int64)  # epoch is a Thu
+    dow = (d + 3) % 7                    # 0=Mon .. 6=Sun
+    thursday = d + 3 - dow               # the Thursday of d's ISO week
+    year_start = (thursday.astype("datetime64[D]")
+                  .astype("datetime64[Y]").astype("datetime64[D]")
+                  .astype(np.int64))
+    return (thursday - year_start) // 7 + 1
+
+
+def extract_unit(unit: str, operand: ColumnVector) -> np.ndarray:
+    """The EXTRACT computation for one unit, as int64."""
+    days = _dates_of(operand)
+    years = days.astype("datetime64[Y]")
+    if unit == "YEAR":
+        data = years.astype(int) + 1970
+    elif unit == "MONTH":
+        months = days.astype("datetime64[M]")
+        data = (months - years.astype("datetime64[M]")).astype(int) + 1
+    elif unit == "DAY":
+        months = days.astype("datetime64[M]")
+        data = (days - months.astype("datetime64[D]")).astype(int) + 1
+    elif unit == "QUARTER":
+        months = days.astype("datetime64[M]")
+        month_num = (months - years.astype("datetime64[M]")).astype(int)
+        data = month_num // 3 + 1
+    elif unit == "WEEK":
+        data = iso_week(days)
+    elif unit in ("HOUR", "MINUTE", "SECOND"):
+        if operand.dtype._family() != "TIMESTAMP":
+            data = np.zeros(len(operand), dtype=np.int64)
+        else:
+            ms = operand.data.astype(np.int64)
+            seconds = ms // 1000
+            if unit == "HOUR":
+                data = (seconds // 3600) % 24
+            elif unit == "MINUTE":
+                data = (seconds // 60) % 60
+            else:
+                data = seconds % 60
+    else:  # pragma: no cover
+        raise ExecutionError(unit)
+    return data.astype(np.int64)
+
+
+def _compile_extract(unit: str):
     def compiler(expr: RexCall, kids):
         a_k, = kids
 
@@ -612,6 +753,29 @@ def _compile_date_add_days(expr: RexCall, kids):
     return kernel
 
 
+def add_months_array(operand: ColumnVector,
+                     amount: ColumnVector) -> np.ndarray:
+    """DATE_ADD_MONTHS payload: a per-row loop over Python dates (the
+    day clamps to the target month's length)."""
+    out = np.zeros(len(operand), dtype=operand.data.dtype)
+    for i in range(len(operand)):
+        if operand.nulls[i] or amount.nulls[i]:
+            continue
+        base = _EPOCH + datetime.timedelta(days=int(operand.data[i]))
+        total = base.year * 12 + (base.month - 1) + int(amount.data[i])
+        year, month = divmod(total, 12)
+        day = min(base.day, _days_in_month(year, month + 1))
+        out[i] = (datetime.date(year, month + 1, day) - _EPOCH).days
+    return out
+
+
+def _days_in_month(year: int, month: int) -> int:
+    if month == 12:
+        return 31
+    return (datetime.date(year, month + 1, 1)
+            - datetime.date(year, month, 1)).days
+
+
 def _compile_date_add_months(expr: RexCall, kids):
     a_k, b_k = kids
 
@@ -626,18 +790,39 @@ def _compile_date_add_months(expr: RexCall, kids):
 # --------------------------------------------------------------------------- #
 # context-dependent
 
-def _compile_rand(expr: RexCall, kids):
-    # a literal seed is hoisted at compile time; the row offset and the
-    # per-query salt stay runtime inputs (EvalContext)
-    seed = expr.operands[0] if expr.operands else None
-    fixed_base = (int(seed.value)
-                  if isinstance(seed, RexLiteral)
-                  and seed.value is not None else None)
+def rand_vector(n: int, base: int, offset: int) -> np.ndarray:
+    """Deterministic uniforms in [0, 1): splitmix64 of (base, row).
 
+    A pure function of its arguments — no process RNG state — so a
+    seeded fault replay that re-executes the same query over the same
+    rows reproduces bit-identical samples.
+    """
+    idx = np.arange(offset, offset + n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = (idx + np.uint64(base & 0xFFFFFFFFFFFFFFFF)) \
+            * np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def rand_base(expr: RexCall, ctx: EvalContext) -> int:
+    """RAND's stream identity: explicit seed, else per-query salt."""
+    if expr.operands:
+        seed = expr.operands[0]
+        if isinstance(seed, RexLiteral) and seed.value is not None:
+            return int(seed.value)
+    # unseeded: deterministic per query, distinct across queries
+    return (int(ctx.query_id) * 0x5851F42D4C957F2D) & 0xFFFFFFFFFFFFFFFF
+
+
+def _compile_rand(expr: RexCall, kids):
     def kernel(batch, ctx):
-        base = fixed_base if fixed_base is not None \
-            else rand_base(expr, ctx)
-        data = rand_vector(batch.num_rows, base, ctx.row_offset)
+        data = rand_vector(batch.num_rows, rand_base(expr, ctx),
+                           ctx.row_offset)
         return ColumnVector(DOUBLE, data,
                             np.zeros(batch.num_rows, dtype=bool))
     return kernel
@@ -657,7 +842,7 @@ def _compile_current_timestamp(expr: RexCall, kids):
 
 
 # --------------------------------------------------------------------------- #
-# string / scalar functions — the interpreter's per-row loops, fused
+# string / scalar functions
 
 def _compile_string_ufunc(ufunc):
     def compiler(expr: RexCall, kids):
@@ -685,25 +870,27 @@ def _compile_length(expr: RexCall, kids):
     return kernel
 
 
-def _compile_substr(expr: RexCall, kids):
-    for o in expr.operands[1:]:
-        if not isinstance(o, RexLiteral):
-            return _interpret_kernel(expr)
-    start = int(expr.operands[1].value) - 1
-    if len(expr.operands) > 2:
-        stop = start + int(expr.operands[2].value)
-        slicer = np.frompyfunc(lambda s: str(s)[start:stop], 1, 1)
-    else:
-        slicer = np.frompyfunc(lambda s: str(s)[start:], 1, 1)
-    a_k = kids[0]
+def _all_fixed(operands) -> bool:
+    """Every operand is a non-NULL literal, so its value can be baked
+    into the kernel."""
+    return all(isinstance(o, RexLiteral) and o.value is not None
+               for o in operands)
 
-    def kernel(batch, ctx):
-        operand = a_k(batch, ctx)
-        nulls = operand.nulls.copy()
-        out = slicer(operand.data)
-        out[nulls] = ""
-        return ColumnVector(expr.dtype, out, nulls)
-    return kernel
+
+def _substr(text, start, length=None) -> str:
+    start = int(start) - 1
+    stop = None if length is None else start + int(length)
+    return str(text)[start:stop]
+
+
+def _compile_substr(expr: RexCall, kids):
+    bounds = expr.operands[1:]
+    if not _all_fixed(bounds):
+        return _rowwise_kernel(expr, kids, _substr)
+    start = int(bounds[0].value) - 1
+    stop = start + int(bounds[1].value) if len(bounds) > 1 else None
+    slicer = np.frompyfunc(lambda s: str(s)[start:stop], 1, 1)
+    return _compile_string_ufunc(slicer)(expr, kids[:1])
 
 
 def _compile_concat(expr: RexCall, kids):
@@ -748,10 +935,10 @@ def _compile_unary_math(np_fn, as_float: bool):
 
 
 def _compile_power(expr: RexCall, kids):
-    # numpy's *scalar* power path (what the interpreter hits row by
-    # row) and its array ufunc round the last bit differently for some
-    # inputs (3.85**2 → ...02 vs ...00) — keep the scalar computation,
-    # batched through frompyfunc, so compiled output stays bit-equal
+    # numpy's *scalar* power path and its array ufunc round the last
+    # bit differently for some inputs (3.85**2 → ...02 vs ...00); the
+    # pinned semantics are the scalar computation, batched through
+    # frompyfunc
     a_k, b_k = kids
     out_dtype = expr.dtype.numpy_dtype
     pow_uf = np.frompyfunc(
@@ -770,12 +957,11 @@ def _compile_round(expr: RexCall, kids):
     # python round() is decimal-correct where np.round's
     # scale-round-unscale can be off by one ulp for decimals > 0 —
     # keep the exact semantics, fused into one ufunc pass
-    if len(expr.operands) > 1:
-        if not isinstance(expr.operands[1], RexLiteral):
-            return _interpret_kernel(expr)
-        decimals = int(expr.operands[1].value)
-    else:
-        decimals = 0
+    digits = expr.operands[1:]
+    if not _all_fixed(digits):
+        return _rowwise_kernel(
+            expr, kids, lambda x, d: round(float(x), int(d)))
+    decimals = int(digits[0].value) if digits else 0
     rounder = np.frompyfunc(lambda x: round(float(x), decimals), 1, 1)
     a_k = kids[0]
     out_dtype = expr.dtype.numpy_dtype
@@ -785,6 +971,12 @@ def _compile_round(expr: RexCall, kids):
         data = rounder(operand.data).astype(out_dtype)
         return ColumnVector(expr.dtype, data, operand.nulls.copy())
     return kernel
+
+
+def _compile_hash(expr: RexCall, kids):
+    # python hash() of a tuple of scalars has no array form
+    return _rowwise_kernel(
+        expr, kids, lambda *xs: hash(xs) & 0x7FFFFFFFFFFFFFFF)
 
 
 def _compile_minmax(reduce_fn):
@@ -820,20 +1012,15 @@ _COMPILERS = {
     "IS_NULL": _compile_is_null, "IS_NOT_NULL": _compile_is_null,
     "IN": _compile_in, "LIKE": _compile_like,
     "CASE": _compile_case, "CAST": _compile_cast,
-    "EXTRACT_YEAR": _compile_extract, "EXTRACT_MONTH": _compile_extract,
-    "EXTRACT_DAY": _compile_extract,
-    "EXTRACT_QUARTER": _compile_extract,
-    "EXTRACT_WEEK": _compile_extract, "EXTRACT_HOUR": _compile_extract,
-    "EXTRACT_MINUTE": _compile_extract,
-    "EXTRACT_SECOND": _compile_extract,
+    **{f"EXTRACT_{unit}": _compile_extract(unit)
+       for unit in ("YEAR", "MONTH", "DAY", "QUARTER", "WEEK", "HOUR",
+                    "MINUTE", "SECOND")},
+    **{unit: _compile_extract(unit)
+       for unit in ("YEAR", "MONTH", "DAY", "QUARTER")},
     "DATE_ADD_DAYS": _compile_date_add_days,
     "DATE_ADD_MONTHS": _compile_date_add_months,
     "CONCAT": _compile_concat, "COALESCE": _compile_coalesce,
     "IF": _compile_if, "NULLIF": _compile_nullif,
-    "YEAR": _compile_extract_alias("YEAR"),
-    "MONTH": _compile_extract_alias("MONTH"),
-    "DAY": _compile_extract_alias("DAY"),
-    "QUARTER": _compile_extract_alias("QUARTER"),
     "UPPER": _compile_string_ufunc(_UF_UPPER),
     "LOWER": _compile_string_ufunc(_UF_LOWER),
     "TRIM": _compile_string_ufunc(_UF_TRIM),
@@ -847,11 +1034,10 @@ _COMPILERS = {
     "EXP": _compile_unary_math(np.exp, as_float=True),
     "POWER": _compile_power,
     "ROUND": _compile_round,
+    "HASH": _compile_hash,
     "GREATEST": _compile_minmax(np.maximum.reduce),
     "LEAST": _compile_minmax(np.minimum.reduce),
     "RAND": _compile_rand,
     "CURRENT_DATE": _compile_current_date,
     "CURRENT_TIMESTAMP": _compile_current_timestamp,
-    # HASH intentionally absent: python hash() of a scalar tuple has no
-    # vectorized equivalent — it falls back to the interpreter
 }

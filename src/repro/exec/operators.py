@@ -25,7 +25,7 @@ from ..common.vector import ColumnVector, VectorBatch, dict_codes
 from ..errors import ExecutionError, OutOfMemoryError
 from ..plan import relnodes as rel
 from ..plan import rexnodes as rex
-from . import expr_eval
+from .compile import EvalContext, KernelCache
 
 #: guard against runaway cross products in nested-loop joins
 MAX_CROSS_PRODUCT = 20_000_000
@@ -61,15 +61,10 @@ class ExecutionContext:
     key_counts: dict = field(default_factory=dict)
     #: statement-scoped expression inputs (virtual statement time, RAND
     #: salt); defaults to the virtual epoch — never the wall clock
-    eval_ctx: expr_eval.EvalContext = field(
-        default_factory=expr_eval.EvalContext)
-    #: compiled-kernel cache (repro.exec.compile.KernelCache); when set,
-    #: expressions are lowered once and reused across batches — None
-    #: falls back to the per-batch interpreter
-    kernels: Optional[object] = None
-    #: fuse Filter->Project chains so the selection mask is applied only
-    #: to columns the projection reads (hive.vectorized.fusion)
-    fuse: bool = True
+    eval_ctx: EvalContext = field(default_factory=EvalContext)
+    #: lowered expression kernels; the plan cache passes its entry's so
+    #: a repeated statement skips lowering
+    kernels: KernelCache = field(default_factory=KernelCache)
 
     def record(self, node: rel.RelNode, rows: int) -> None:
         self.runtime_stats[node.digest] = rows
@@ -97,7 +92,6 @@ def execute(node: rel.RelNode, ctx: ExecutionContext) -> VectorBatch:
         ctx.profile.record(node.digest, result.num_rows,
                            time.perf_counter() - t0,
                            rows_in=rows_in,
-                           batches=max(1, len(node.inputs)),
                            operator=type(node).__name__)
     else:
         result = handler(node, ctx)
@@ -108,18 +102,13 @@ def execute(node: rel.RelNode, ctx: ExecutionContext) -> VectorBatch:
 
 
 def _eval(ctx: ExecutionContext, expr: rex.RexNode,
-          batch) -> ColumnVector:
-    """Evaluate through the kernel cache when one is wired."""
-    if ctx.kernels is not None:
-        return ctx.kernels.kernel(expr)(batch, ctx.eval_ctx)
-    return expr_eval.evaluate(expr, batch, ctx.eval_ctx)
+          batch: VectorBatch) -> ColumnVector:
+    return ctx.kernels.kernel(expr)(batch, ctx.eval_ctx)
 
 
 def _predicate(ctx: ExecutionContext, expr: rex.RexNode,
-               batch) -> np.ndarray:
-    if ctx.kernels is not None:
-        return ctx.kernels.predicate(expr)(batch, ctx.eval_ctx)
-    return expr_eval.evaluate_predicate(expr, batch, ctx.eval_ctx)
+               batch: VectorBatch) -> np.ndarray:
+    return ctx.kernels.predicate(expr)(batch, ctx.eval_ctx)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,67 +131,10 @@ def _exec_filter(node: rel.Filter, ctx: ExecutionContext) -> VectorBatch:
     return child.filter(mask)
 
 
-class _SelectionView:
-    """A filtered view of a batch that only materializes needed columns.
-
-    Fused Filter->Project evaluation applies the selection mask to just
-    the columns the projection references; the rest stay untouched in
-    the source batch (``None`` placeholders keep ordinals aligned).
-    Duck-types the two attributes expression kernels read —
-    ``vectors`` and ``num_rows`` — deliberately *not* a VectorBatch,
-    whose constructor would reject the ragged placeholder columns.
-    """
-
-    __slots__ = ("vectors", "num_rows")
-
-    def __init__(self, source: VectorBatch, mask: np.ndarray,
-                 refs: set):
-        selected = int(np.count_nonzero(mask))
-        if selected == source.num_rows:
-            self.vectors = source.vectors       # mask selects everything
-        else:
-            self.vectors = [v.filter(mask) if i in refs else None
-                            for i, v in enumerate(source.vectors)]
-        self.num_rows = selected
-
-
 def _exec_project(node: rel.Project, ctx: ExecutionContext) -> VectorBatch:
-    child = _fused_filter_input(node, ctx)
-    if child is None:
-        child = execute(node.input, ctx)
+    child = execute(node.input, ctx)
     vectors = [_eval(ctx, expr, child) for expr in node.exprs]
     return VectorBatch(node.schema, vectors)
-
-
-def _fused_filter_input(node: rel.Project, ctx: ExecutionContext):
-    """Evaluate a Filter child as a selection view, not a new batch.
-
-    Returns None when fusion does not apply: disabled, the child is not
-    a Filter, or the Filter's output is needed verbatim elsewhere
-    (shared-work memoization reuses materialized results by digest).
-    The bypassed Filter is still recorded in ``runtime_stats`` and the
-    profile — reoptimization and EXPLAIN ANALYZE must see it run.
-    """
-    child_node = node.input
-    if not ctx.fuse or not isinstance(child_node, rel.Filter):
-        return None
-    if ctx.memo_digests and child_node.digest in ctx.memo_digests:
-        return None
-    t0 = time.perf_counter() if ctx.profile is not None else 0.0
-    source = execute(child_node.input, ctx)
-    mask = _predicate(ctx, child_node.condition, source)
-    refs: set = set()
-    for expr in node.exprs:
-        refs |= expr.input_refs()
-    view = _SelectionView(source, mask, refs)
-    ctx.record(child_node, view.num_rows)
-    if ctx.profile is not None:
-        ctx.profile.record(
-            child_node.digest, view.num_rows,
-            time.perf_counter() - t0,
-            rows_in=ctx.runtime_stats.get(child_node.input.digest, 0),
-            batches=1, operator=type(child_node).__name__)
-    return view
 
 
 def _exec_limit(node: rel.Limit, ctx: ExecutionContext) -> VectorBatch:
@@ -272,8 +204,7 @@ def _exec_aggregate(node: rel.Aggregate, ctx: ExecutionContext) -> VectorBatch:
     if node.grouping_sets is not None:
         return _aggregate_grouping_sets(node, child)
     sizes: dict[tuple, int] = {}
-    rows = _aggregate_once(node, child, node.group_keys,
-                           sizes_out=sizes)
+    rows = _aggregate_vectorized(node, child, node.group_keys, sizes)
     ctx.record_keys(node, sizes)
     return VectorBatch.from_rows(node.schema, rows)
 
@@ -284,7 +215,7 @@ def _aggregate_grouping_sets(node: rel.Aggregate,
     key_count = len(node.group_keys)
     for gset in node.grouping_sets:
         keys = tuple(node.group_keys[i] for i in gset)
-        rows = _aggregate_once(node, child, keys)
+        rows = _aggregate_vectorized(node, child, keys)
         grouping_id = 0
         for i in range(key_count):
             if i not in gset:
@@ -298,15 +229,6 @@ def _aggregate_grouping_sets(node: rel.Aggregate,
                             + (grouping_id,))
         all_rows.extend(expanded)
     return VectorBatch.from_rows(node.schema, all_rows)
-
-
-def _aggregate_once(node: rel.Aggregate, child: VectorBatch,
-                    group_keys: tuple[int, ...],
-                    sizes_out: Optional[dict] = None) -> list[tuple]:
-    rows = _aggregate_vectorized(node, child, group_keys, sizes_out)
-    if rows is not None:
-        return rows
-    return _aggregate_rowwise(node, child, group_keys, sizes_out)
 
 
 def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -340,13 +262,9 @@ def _combine_codes(columns: Sequence[tuple[np.ndarray, int]]
     return combined
 
 
-def _group_codes(vector: ColumnVector) -> Optional[tuple[np.ndarray, int]]:
+def _group_codes(vector: ColumnVector) -> tuple[np.ndarray, int]:
     """Dense ``(codes, cardinality)`` for one key column; NULL is its
-    own group.
-
-    Returns None when the column cannot be factorized (unhashable
-    object data) — the caller falls back to the row loop.
-    """
+    own group."""
     vals = vector.data
     nulls = vector.nulls
     has_nulls = bool(nulls.any())
@@ -355,10 +273,7 @@ def _group_codes(vector: ColumnVector) -> Optional[tuple[np.ndarray, int]]:
         # them so they are never compared against real values
         vals = vals.copy()
         vals[nulls] = "" if vals.dtype == np.dtype(object) else 0
-    try:
-        codes, cardinality = _dense_codes(vals)
-    except TypeError:
-        return None
+    codes, cardinality = _dense_codes(vals)
     if has_nulls:
         codes[nulls] = cardinality
         cardinality += 1
@@ -369,20 +284,12 @@ def _factorize_keys(child: VectorBatch, group_keys: tuple[int, ...]):
     """Combined group ids in *first-occurrence* order.
 
     Returns ``(codes, group_count, representatives)`` where
-    ``representatives[g]`` is the row index of group ``g``'s first row,
-    or None if any key column cannot be factorized.  First-occurrence
-    ordering matches the dict-insertion order of the row-at-a-time
-    fallback, so both paths emit identical output row order.
+    ``representatives[g]`` is the row index of group ``g``'s first row.
     """
     n = child.num_rows
     if not group_keys:
         return np.zeros(n, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
-    code_cols = []
-    for k in group_keys:
-        codes = _group_codes(child.vectors[k])
-        if codes is None:
-            return None
-        code_cols.append(codes)
+    code_cols = [_group_codes(child.vectors[k]) for k in group_keys]
     _, first_idx, inv = np.unique(_combine_codes(code_cols),
                                   return_index=True, return_inverse=True)
     inv = inv.reshape(-1)
@@ -406,220 +313,122 @@ def _minmax_init(dtype: np.dtype, for_min: bool):
     return np.iinfo(dtype).max if for_min else np.iinfo(dtype).min
 
 
+def _first_of_each(codes: np.ndarray, g: int,
+                   values: np.ndarray) -> np.ndarray:
+    """Ascending row positions of the first row of every distinct
+    *(group code, value)* pair — the rows a DISTINCT aggregate sees.
+    Values are told apart as ``_dense_codes`` does: ``-0.0 = 0.0`` and
+    all NaNs are one value, as in GROUP BY and SELECT DISTINCT."""
+    pairs = _combine_codes([(codes, g), _dense_codes(values)])
+    _, first = np.unique(pairs, return_index=True)
+    first.sort()
+    return first
+
+
+def _string_ranks(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each string's rank among the distinct strings in code-point
+    order, and those strings in that order."""
+    index, codes = dict_codes(values.tolist())
+    ordered = sorted(index)
+    rank = np.empty(len(ordered), dtype=np.int64)
+    rank[[index[s] for s in ordered]] = np.arange(len(ordered))
+    return rank[codes], ordered
+
+
 def _aggregate_vectorized(node: rel.Aggregate, child: VectorBatch,
                           group_keys: tuple[int, ...],
-                          sizes_out: Optional[dict]
-                          ) -> Optional[list[tuple]]:
-    """Grouped aggregation as batch-level numpy ops.
+                          sizes_out: Optional[dict] = None
+                          ) -> list[tuple]:
+    """Grouped aggregation as batch-level numpy ops; groups come out in
+    first-occurrence order and NULL arguments are ignored.
 
-    ``np.bincount`` with weights accumulates in row order, so float
-    sums are bit-identical to the sequential loop it replaces.  Returns
-    None (fall back to the row loop) for DISTINCT aggregates, string
-    min/max, or keys that will not factorize.
+    DOUBLE sums are ``np.bincount`` with weights, which accumulates in
+    row order — bit-identical to a sequential loop; integer sums
+    accumulate exactly in int64.  A DISTINCT call runs the same arms
+    over the first row of each distinct (group, value) pair, so its
+    DOUBLE sums add in first-occurrence order.  String MIN/MAX reduce
+    the strings' code-point ranks.  ``sizes_out`` receives rows per
+    group key, in group order.
     """
     for call in node.agg_calls:
-        if call.distinct:
-            return None
-        if call.func in ("min", "max") and call.arg is not None \
-                and child.vectors[call.arg].data.dtype == np.dtype(object):
-            return None
-    factorized = _factorize_keys(child, group_keys)
-    if factorized is None:
-        return None
-    codes, g, reps = factorized
+        if call.func not in _AGG_FUNCS:
+            raise ExecutionError(f"unknown aggregate {call.func}")
+        if call.distinct and call.func in ("stddev", "variance"):
+            raise ExecutionError(f"unsupported DISTINCT {call.func}")
+    codes, g, reps = _factorize_keys(child, group_keys)
     if group_keys and g == 0:
         return []
     key_columns = [child.vectors[k] for k in group_keys]
     keys = [_key_tuple(key_columns, int(r)) for r in reps]
+    group_sizes = np.bincount(codes, minlength=g).tolist()
     if sizes_out is not None and group_keys:
-        sizes = np.bincount(codes, minlength=g)
-        for key, size in zip(keys, sizes):
-            sizes_out[key] = int(size)
+        sizes_out.update(zip(keys, group_sizes))
 
-    columns: list[tuple] = []   # one (finals-per-group,) per agg call
+    columns: list[list] = []    # finals per group, one list per call
     for call in node.agg_calls:
-        column = None if call.arg is None else child.vectors[call.arg]
-        if column is None:
-            valid_codes, valid_data = codes, None
-        else:
-            valid = ~column.nulls
-            valid_codes = codes[valid]
-            valid_data = column.data[valid]
-        counts = np.bincount(valid_codes, minlength=g)
+        if call.arg is None:     # count(*)
+            columns.append(group_sizes)
+            continue
+        column = child.vectors[call.arg]
+        valid = ~column.nulls
+        valid_codes, values = codes[valid], column.data[valid]
+        if call.distinct:
+            first = _first_of_each(valid_codes, g, values)
+            valid_codes, values = valid_codes[first], values[first]
+        counts = np.bincount(valid_codes, minlength=g).tolist()
         if call.func == "count":
-            finals = [int(c) for c in counts]
-        elif call.func in ("sum", "avg"):
-            weights = valid_data.astype(np.float64, copy=False)
-            totals = np.bincount(valid_codes, weights=weights,
-                                 minlength=g)
-            if call.func == "sum":
-                as_int = call.dtype == BIGINT
-                finals = [None if counts[j] == 0
-                          else (int(totals[j]) if as_int
-                                else float(totals[j]))
-                          for j in range(g)]
+            columns.append(counts)
+            continue
+        if call.func in ("sum", "avg"):
+            if values.dtype.kind in "iub":
+                totals = np.zeros(g, dtype=np.int64)
+                np.add.at(totals, valid_codes, values.astype(np.int64))
             else:
-                finals = [None if counts[j] == 0
-                          else float(totals[j]) / int(counts[j])
-                          for j in range(g)]
+                totals = np.bincount(
+                    valid_codes, minlength=g,
+                    weights=values.astype(np.float64, copy=False))
+            totals = totals.tolist()
+            if call.func == "avg":
+                finals = [t / (c or 1) for t, c in zip(totals, counts)]
+            else:
+                plain = int if call.dtype == BIGINT else float
+                finals = [plain(t) for t in totals]
         elif call.func in ("min", "max"):
+            strings = None
+            if values.dtype == np.dtype(object):
+                values, strings = _string_ranks(values)
             for_min = call.func == "min"
-            out = np.full(g, _minmax_init(valid_data.dtype, for_min),
-                          dtype=valid_data.dtype)
-            if for_min:
-                np.minimum.at(out, valid_codes, valid_data)
-            else:
-                np.maximum.at(out, valid_codes, valid_data)
-            finals = [None if counts[j] == 0 else _plain(out[j])
-                      for j in range(g)]
-        elif call.func in ("stddev", "variance"):
-            weights = valid_data.astype(np.float64, copy=False)
+            out = np.full(g, _minmax_init(values.dtype, for_min),
+                          dtype=values.dtype)
+            (np.minimum if for_min else np.maximum).at(
+                out, valid_codes, values)
+            finals = out.tolist()
+            if strings is not None:
+                finals = [strings[r] if c else None
+                          for r, c in zip(finals, counts)]
+        else:                    # stddev / variance
+            weights = values.astype(np.float64, copy=False)
             totals = np.bincount(valid_codes, weights=weights,
-                                 minlength=g)
+                                 minlength=g).tolist()
             sumsq = np.bincount(valid_codes, weights=weights * weights,
-                                minlength=g)
+                                minlength=g).tolist()
             finals = []
-            for j in range(g):
-                if counts[j] == 0:
-                    finals.append(None)
-                    continue
-                mean = float(totals[j]) / int(counts[j])
-                variance = max(0.0, float(sumsq[j]) / int(counts[j])
-                               - mean * mean)
+            for total, sq, count in zip(totals, sumsq, counts):
+                count = count or 1
+                mean = total / count
+                variance = max(0.0, sq / count - mean * mean)
                 finals.append(variance if call.func == "variance"
                               else variance ** 0.5)
-        else:
-            return None
-        columns.append(tuple(finals))
+        # a group with no non-NULL argument is NULL, whatever the arm
+        # computed for it
+        columns.append([f if c else None
+                        for f, c in zip(finals, counts)])
     return [keys[j] + tuple(col[j] for col in columns)
             for j in range(g)]
 
 
-def _aggregate_rowwise(node: rel.Aggregate, child: VectorBatch,
-                       group_keys: tuple[int, ...],
-                       sizes_out: Optional[dict] = None) -> list[tuple]:
-    key_columns = [child.vectors[k] for k in group_keys]
-    n = child.num_rows
-    groups: dict[tuple, list] = {}
-    order: list[tuple] = []
-    arg_columns = []
-    for call in node.agg_calls:
-        arg_columns.append(None if call.arg is None
-                           else child.vectors[call.arg])
-
-    def new_states():
-        return [_new_state(call) for call in node.agg_calls]
-
-    if not group_keys:
-        states = new_states()
-        groups[()] = states
-        order.append(())
-        for i in range(n):
-            _update_states(node.agg_calls, states, arg_columns, i)
-    else:
-        for i in range(n):
-            key = tuple(
-                None if kc.nulls[i] else _plain(kc.data[i])
-                for kc in key_columns)
-            states = groups.get(key)
-            if states is None:
-                states = new_states()
-                groups[key] = states
-                order.append(key)
-            if sizes_out is not None:
-                sizes_out[key] = sizes_out.get(key, 0) + 1
-            _update_states(node.agg_calls, states, arg_columns, i)
-
-    rows = []
-    for key in order:
-        states = groups[key]
-        finals = tuple(_finalize_state(call, state)
-                       for call, state in zip(node.agg_calls, states))
-        rows.append(key + finals)
-    if not group_keys and not rows:
-        rows.append(tuple(_finalize_state(call, state) for call, state
-                          in zip(node.agg_calls, new_states())))
-    return rows
-
-
-def _new_state(call: rex.AggregateCall):
-    if call.distinct:
-        return set()
-    if call.func == "count":
-        return 0
-    if call.func in ("sum", "avg"):
-        return [0.0, 0]          # sum, count
-    if call.func in ("min", "max"):
-        return [None]
-    if call.func in ("stddev", "variance"):
-        return [0.0, 0.0, 0]     # sum, sumsq, count
-    raise ExecutionError(f"unknown aggregate {call.func}")
-
-
-def _update_states(calls, states, arg_columns, i: int) -> None:
-    for slot, (call, state, column) in enumerate(
-            zip(calls, states, arg_columns)):
-        if column is None:       # count(*)
-            if call.distinct:
-                state.add(i)
-            else:
-                states[slot] += 1
-            continue
-        if column.nulls[i]:
-            continue
-        value = _plain(column.data[i])
-        if call.distinct:
-            state.add(value)
-        elif call.func == "count":
-            states[slot] += 1
-        elif call.func in ("sum", "avg"):
-            state[0] += value
-            state[1] += 1
-        elif call.func == "min":
-            if state[0] is None or value < state[0]:
-                state[0] = value
-        elif call.func == "max":
-            if state[0] is None or value > state[0]:
-                state[0] = value
-        elif call.func in ("stddev", "variance"):
-            state[0] += value
-            state[1] += value * value
-            state[2] += 1
-
-
-def _finalize_state(call: rex.AggregateCall, state):
-    if call.distinct:
-        if call.func == "count":
-            return len(state)
-        if not state:
-            return None
-        if call.func == "sum":
-            return sum(state)
-        if call.func == "avg":
-            return sum(state) / len(state)
-        if call.func == "min":
-            return min(state)
-        if call.func == "max":
-            return max(state)
-        raise ExecutionError(f"unsupported DISTINCT {call.func}")
-    if call.func == "count":
-        return state
-    if call.func == "sum":
-        if state[1] == 0:
-            return None
-        total = state[0]
-        return int(total) if call.dtype == BIGINT else total
-    if call.func == "avg":
-        return None if state[1] == 0 else state[0] / state[1]
-    if call.func in ("min", "max"):
-        return state[0]
-    if call.func in ("stddev", "variance"):
-        if state[2] == 0:
-            return None
-        mean = state[0] / state[2]
-        variance = max(0.0, state[1] / state[2] - mean * mean)
-        return variance if call.func == "variance" else variance ** 0.5
-    raise ExecutionError(call.func)
+_AGG_FUNCS = frozenset({"count", "sum", "avg", "min", "max", "stddev",
+                        "variance"})
 
 
 def _plain(value):
@@ -884,32 +693,19 @@ def _partition_rows(child: VectorBatch,
                     partition_keys) -> list[list[int]]:
     """Row indices of each window partition (ascending within one).
 
-    Factorized: combined key codes + one stable argsort + np.split,
-    instead of a per-row dict of tuples.  The per-row fallback only
-    runs for unfactorizable (mixed-type object) key columns.  Partition
-    *iteration* order differs between the two paths, which is
-    immaterial — window results are written back per absolute row
-    index.
+    Factorized: combined key codes + one stable argsort + np.split.
+    Partitions come out in first-occurrence order, which is immaterial
+    — window results are written back per absolute row index.
     """
     n = child.num_rows
     if not partition_keys:
         return [list(range(n))]
-    factorized = _factorize_keys(child, tuple(partition_keys))
-    if factorized is not None:
-        codes, g, _ = factorized
-        if g <= 1:
-            return [list(range(n))] if n else []
-        order = np.argsort(codes, kind="stable")
-        cuts = np.flatnonzero(np.diff(codes[order])) + 1
-        return [seg.tolist() for seg in np.split(order, cuts)]
-    partitions: dict[tuple, list[int]] = {}
-    for i in range(n):
-        key = tuple(
-            None if child.vectors[k].nulls[i]
-            else _plain(child.vectors[k].data[i])
-            for k in partition_keys)
-        partitions.setdefault(key, []).append(i)
-    return list(partitions.values())
+    codes, g, _ = _factorize_keys(child, tuple(partition_keys))
+    if g <= 1:
+        return [list(range(n))] if n else []
+    order = np.argsort(codes, kind="stable")
+    cuts = np.flatnonzero(np.diff(codes[order])) + 1
+    return [seg.tolist() for seg in np.split(order, cuts)]
 
 
 def _window_column(call: rel.WindowCall, child: VectorBatch,

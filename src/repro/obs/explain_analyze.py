@@ -142,8 +142,7 @@ def render_explain_analyze(optimized, profile: ExecutionProfile,
                     f"--   op {op.operator}: "
                     f"{_time_bar(op.virtual_s, op_longest)} "
                     f"virtual={op.virtual_s:.3f}s "
-                    f"rows_in={op.rows_in} rows_out={op.rows_out} "
-                    f"batches={op.batches}")
+                    f"rows_in={op.rows_in} rows_out={op.rows_out}")
         if metrics.retry_s or metrics.failover_s:
             lines.append(
                 f"-- faults: retry={metrics.retry_s:.3f}s "

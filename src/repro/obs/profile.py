@@ -9,8 +9,7 @@ feedback loop uses — so the annotated plan can be rendered by walking
 the optimized tree.
 
 Sub-query granularity (the vertex/operator profiler): each recorded
-invocation also captures rows *in*, input batch counts and the operator
-kind; the runner folds these into per-vertex
+invocation also captures rows *in* and the operator kind; the runner folds these into per-vertex
 :class:`OperatorProfile` rows with a virtual-time attribution, which is
 what ``sys.operator_log`` and the ``EXPLAIN ANALYZE`` operator tree
 serve.
@@ -35,7 +34,6 @@ class OperatorProfile:
     digest: str
     rows_in: int = 0
     rows_out: int = 0
-    batches: int = 0
     calls: int = 0
     wall_s: float = 0.0
     virtual_s: float = 0.0
@@ -43,7 +41,7 @@ class OperatorProfile:
     def as_row(self, query_id: int, vertex: str) -> tuple:
         """Row shape of ``sys.operator_log`` (see obs.systables)."""
         return (query_id, vertex, self.operator, self.digest,
-                self.rows_in, self.rows_out, self.batches, self.calls,
+                self.rows_in, self.rows_out, self.calls,
                 self.wall_s * 1000.0, self.virtual_s)
 
 
@@ -59,8 +57,6 @@ class ExecutionProfile:
     operator_wall_s: dict = field(default_factory=dict)
     #: digest -> rows flowing *into* the operator (sum over inputs)
     operator_rows_in: dict = field(default_factory=dict)
-    #: digest -> input batches consumed across all executions
-    operator_batches: dict = field(default_factory=dict)
     #: digest -> operator kind (plan-node class name)
     operator_kinds: dict = field(default_factory=dict)
     #: digest -> ScanMetrics for table scans
@@ -69,16 +65,13 @@ class ExecutionProfile:
     metrics: Optional[object] = None
 
     def record(self, digest: str, rows: int, wall_s: float,
-               rows_in: int = 0, batches: int = 1,
-               operator: str = "") -> None:
+               rows_in: int = 0, operator: str = "") -> None:
         self.operator_rows[digest] = rows
         self.operator_calls[digest] = \
             self.operator_calls.get(digest, 0) + 1
         self.operator_wall_s[digest] = \
             self.operator_wall_s.get(digest, 0.0) + wall_s
         self.operator_rows_in[digest] = rows_in
-        self.operator_batches[digest] = \
-            self.operator_batches.get(digest, 0) + batches
         if operator:
             self.operator_kinds[digest] = operator
 
@@ -90,7 +83,6 @@ class ExecutionProfile:
             digest=digest,
             rows_in=self.operator_rows_in.get(digest, 0),
             rows_out=self.operator_rows.get(digest, 0),
-            batches=self.operator_batches.get(digest, 0),
             calls=self.operator_calls.get(digest, 0),
             wall_s=self.operator_wall_s.get(digest, 0.0),
             virtual_s=virtual_s)

@@ -14,7 +14,7 @@ Tables:
   distribution, skew factor, straggler flag); joins ``sys.query_log``
   on ``query_id``,
 * ``sys.operator_log`` — one row per plan operator per vertex per query
-  (rows in/out, batches, wall + attributed virtual time),
+  (rows in/out, wall + attributed virtual time),
 * ``sys.wm_events``    — workload-management trigger firings (MOVE/KILL),
 * ``sys.cache_stats``  — LLAP cache + results cache counters,
 * ``sys.compactions``  — the compaction queue history,
@@ -96,8 +96,8 @@ OPERATOR_LOG_SCHEMA = Schema([
     Column("query_id", BIGINT), Column("vertex", STRING),
     Column("operator", STRING), Column("digest", STRING),
     Column("rows_in", BIGINT), Column("rows_out", BIGINT),
-    Column("batches", BIGINT), Column("calls", BIGINT),
-    Column("wall_ms", DOUBLE), Column("virtual_s", DOUBLE)])
+    Column("calls", BIGINT), Column("wall_ms", DOUBLE),
+    Column("virtual_s", DOUBLE)])
 
 WM_EVENTS_SCHEMA = Schema([
     Column("event_id", BIGINT), Column("query_id", BIGINT),

@@ -83,7 +83,7 @@ def fold_rex(expr: rex.RexNode) -> rex.RexNode:
     if operands and all(isinstance(o, rex.RexLiteral) for o in operands):
         if op in ("IN",):  # keep IN lists for sarg extraction
             return expr
-        from ..exec.expr_eval import CONTEXT_DEPENDENT_OPS
+        from ..exec.compile import CONTEXT_DEPENDENT_OPS
         if op in CONTEXT_DEPENDENT_OPS:
             # RAND(literal seed) is per-row, CURRENT_* is per-statement
             # — folding either to a single literal changes results
@@ -99,11 +99,10 @@ def _evaluate_constant(expr: rex.RexCall) -> rex.RexLiteral:
     """Evaluate a literal-only call against a one-row dummy batch."""
     from ..common.rows import Column
     from ..common.types import INT
-    from ..exec import expr_eval
+    from ..exec.compile import evaluate
     schema = Schema([Column("__d__", INT)])
     batch = VectorBatch.from_rows(schema, [(0,)])
-    result = expr_eval.evaluate(expr, batch)
-    return rex.RexLiteral(result.value(0), expr.dtype)
+    return rex.RexLiteral(evaluate(expr, batch).value(0), expr.dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -317,16 +316,12 @@ def prune_partitions(root: rel.RelNode, hms: HiveMetastore) -> rel.RelNode:
                 return None
             part_ordinals = part_ords_by_name
         survivors = []
-        from ..exec import expr_eval
+        from ..exec.compile import DEFAULT_CONTEXT, compile_predicate
+        holds = [compile_predicate(conjunct) for conjunct in relevant]
         for descriptor in table.list_partitions():
             row = _partition_row(node.schema, table, descriptor)
             batch = VectorBatch.from_rows(node.schema, [row])
-            keep = True
-            for conjunct in relevant:
-                if not expr_eval.evaluate_predicate(conjunct, batch)[0]:
-                    keep = False
-                    break
-            if keep:
+            if all(h(batch, DEFAULT_CONTEXT)[0] for h in holds):
                 survivors.append(descriptor.values)
         return rel.TableScan(
             node.table_name, node.schema, tuple(survivors),

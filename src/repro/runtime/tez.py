@@ -24,8 +24,7 @@ from typing import Optional
 
 from ..config import HiveConf
 from ..errors import ExecutionError
-from ..exec.compile import KernelCache
-from ..exec.expr_eval import EvalContext
+from ..exec.compile import EvalContext, KernelCache
 from ..exec.operators import ExecutionContext, execute
 from ..llap.workload import QueryAdmission, WorkloadManager
 from ..obs.profile import OperatorProfile
@@ -283,13 +282,11 @@ class TezRunner:
         cost, since a cached statement skips parse/analyze/optimize.
 
         ``eval_ctx`` pins the statement's virtual time and RAND salt;
-        ``kernels`` is the compiled-kernel cache to (re)use — the plan
+        ``kernels`` is the lowered-kernel cache to (re)use — the plan
         cache passes its entry's cache so repeated fingerprints skip
-        expression compilation.  Absent one, an ephemeral cache still
-        compiles each expression once per query.
+        expression lowering.  Absent one, an ephemeral cache still
+        lowers each expression once per query.
         """
-        if kernels is None and self.conf.vectorized_compile:
-            kernels = KernelCache()
         ctx = ExecutionContext(
             scan_executor=scan_executor,
             semijoin_filters=scan_executor.semijoin_filters,
@@ -298,8 +295,7 @@ class TezRunner:
             profile=profile,
             eval_ctx=(eval_ctx if eval_ctx is not None
                       else EvalContext(query_id=query_id)),
-            kernels=kernels,
-            fuse=self.conf.vectorized_fusion)
+            kernels=kernels if kernels is not None else KernelCache())
 
         # admission control (Section 5.2)
         admission = QueryAdmission(pool="", capacity_fraction=1.0)
@@ -764,8 +760,7 @@ class TezRunner:
                 child = vspan.child(f"op {op.operator}",
                                     virtual_s=op.virtual_s,
                                     rows_in=op.rows_in,
-                                    rows_out=op.rows_out,
-                                    batches=op.batches)
+                                    rows_out=op.rows_out)
                 child.wall_s = op.wall_s
                 child.start_s = vspan.start_s
 

@@ -26,7 +26,7 @@ from ..common.rows import Schema
 from ..common.vector import VectorBatch
 from ..config import HiveConf
 from ..errors import AnalysisError, ExecutionError
-from ..exec import expr_eval
+from ..exec.compile import EvalContext, compile_expr, compile_predicate
 from ..metastore.catalog import TableDescriptor
 from ..metastore.hms import HiveMetastore
 from ..metastore.locks import LockType
@@ -45,13 +45,13 @@ class TableWriter:
     """Executes transactional and plain writes against one warehouse."""
 
     def __init__(self, hms: HiveMetastore, conf: HiveConf,
-                 eval_ctx: expr_eval.EvalContext | None = None):
+                 eval_ctx: EvalContext | None = None):
         self.hms = hms
         self.conf = conf
         #: statement-time context for DML expressions (UPDATE SET /
         #: MERGE assignments may call CURRENT_DATE or RAND)
         self.eval_ctx = (eval_ctx if eval_ctx is not None
-                         else expr_eval.EvalContext())
+                         else EvalContext())
         self.writer = AcidWriter(hms.fs)
         self.reader = AcidReader(hms.fs)
         self.initiator = CompactionInitiator(hms, conf)
@@ -230,6 +230,11 @@ class TableWriter:
                 f"{table.qualified_name} is not transactional; UPDATE/"
                 "DELETE require an ACID table")
         operation = "update" if assignments is not None else "delete"
+        # lowered once per statement, run once per partition
+        matches = (None if predicate is None
+                   else compile_predicate(predicate))
+        setters = {i: compile_expr(expr)
+                   for i, expr in (assignments or {}).items()}
         own_txn = txn is None
         if own_txn:
             txn = self.hms.txn_manager.open_transaction()
@@ -255,7 +260,7 @@ class TableWriter:
                 if batch.num_rows == 0:
                     continue
                 affected = self._affected_mask(table, batch, values,
-                                               predicate)
+                                               matches)
                 row_ids = [rid for rid, hit in
                            zip(row_ids_from_batch(batch), affected)
                            if hit]
@@ -265,7 +270,7 @@ class TableWriter:
                                                row_ids)
                 if assignments is not None:
                     new_rows = self._updated_rows(table, batch, affected,
-                                                  assignments)
+                                                  setters)
                     self.writer.write_insert_delta(
                         location, write_id, table.schema, new_rows,
                         bloom_columns=table.bloom_filter_columns)
@@ -291,14 +296,13 @@ class TableWriter:
         return DmlResult(total, operation, table.qualified_name)
 
     def _affected_mask(self, table: TableDescriptor, batch: VectorBatch,
-                       partition_values: tuple, predicate):
+                       partition_values: tuple, matches):
         import numpy as np
-        if predicate is None:
+        if matches is None:
             return np.ones(batch.num_rows, dtype=bool)
-        # predicate is over the full schema (data + partition columns)
+        # the predicate is over the full schema (data + partition columns)
         eval_batch = self._with_partitions(table, batch, partition_values)
-        return expr_eval.evaluate_predicate(predicate, eval_batch,
-                                            self.eval_ctx)
+        return matches(eval_batch, self.eval_ctx)
 
     def _with_partitions(self, table: TableDescriptor, batch: VectorBatch,
                          values: tuple) -> VectorBatch:
@@ -329,20 +333,16 @@ class TableWriter:
         return VectorBatch(Schema(columns), vectors)
 
     def _updated_rows(self, table: TableDescriptor, batch: VectorBatch,
-                      affected, assignments: dict[int, rex.RexNode]
-                      ) -> list[tuple]:
+                      affected, setters: dict) -> list[tuple]:
         names = [c.name for c in table.schema]
         idx = [batch.schema.index_of(n) for n in names]
         data_batch = batch.project(idx, table.schema).filter(affected)
         columns = []
         for i in range(len(table.schema)):
-            expr = assignments.get(i)
-            if expr is None:
-                columns.append(data_batch.vectors[i].to_values())
-            else:
-                columns.append(
-                    expr_eval.evaluate(expr, data_batch,
-                                       self.eval_ctx).to_values())
+            setter = setters.get(i)
+            vector = (data_batch.vectors[i] if setter is None
+                      else setter(data_batch, self.eval_ctx))
+            columns.append(vector.to_values())
         return [tuple(col[r] for col in columns)
                 for r in range(data_batch.num_rows)]
 
@@ -360,6 +360,16 @@ class TableWriter:
             raise ExecutionError(
                 f"{table.qualified_name} is not transactional")
         import numpy as np
+        # every expression is lowered once here, not once per row pair:
+        # ON, then (action, WHEN condition, SET kernels) per MATCHED clause
+        on = compile_predicate(condition)
+        matched_clauses = [
+            (clause.action,
+             None if clause.condition is None
+             else compile_predicate(clause.condition),
+             {i: compile_expr(expr)
+              for i, expr in clause.assignments.items()})
+            for clause in when_clauses if clause.matched]
         txn = self.hms.txn_manager.open_transaction()
         try:
             snapshot = self.hms.txn_manager.get_snapshot()
@@ -395,9 +405,7 @@ class TableWriter:
                     t_row = data_batch.slice(ti, ti + 1)
                     pair = _cross_pair(t_row, source_batch,
                                        source_schema)
-                    cond = expr_eval.evaluate_predicate(
-                        condition, pair, self.eval_ctx)
-                    hits = np.nonzero(cond)[0]
+                    hits = np.nonzero(on(pair, self.eval_ctx))[0]
                     if len(hits) > 1:
                         raise ExecutionError(
                             "MERGE: multiple source rows match one "
@@ -405,23 +413,20 @@ class TableWriter:
                     if len(hits) == 1:
                         si = int(hits[0])
                         matched_source[si] = True
-                        action = self._matched_action(
-                            when_clauses, pair.take(np.array([si])))
-                        if action is None:
-                            continue
-                        kind, clause = action
-                        if kind == "delete":
+                        pair_row = pair.take(np.array([si]))
+                        action, setters = self._matched_action(
+                            matched_clauses, pair_row)
+                        if action == "delete":
                             pending_deletes.setdefault(
                                 location, []).append(row_ids[ti])
                             total += 1
-                        elif kind == "update":
+                        elif action == "update":
                             pending_deletes.setdefault(
                                 location, []).append(row_ids[ti])
                             pending_inserts.setdefault(
                                 location, []).append(
                                 self._merge_update_row(
-                                    table, pair.take(np.array([si])),
-                                    clause))
+                                    table, pair_row, setters))
                             total += 1
                 if location in pending_deletes:
                     self.hms.txn_manager.record_write_set(
@@ -433,13 +438,14 @@ class TableWriter:
                 (c for c in when_clauses
                  if not c.matched and c.action == "insert"), None)
             if insert_clause is not None:
+                insert_values = [compile_expr(expr) for expr
+                                 in insert_clause.insert_values]
                 new_rows = []
                 for si in np.nonzero(~matched_source)[0]:
                     row_batch = source_batch.slice(int(si), int(si) + 1)
                     row = tuple(
-                        expr_eval.evaluate(expr, row_batch,
-                                           self.eval_ctx).value(0)
-                        for expr in insert_clause.insert_values)
+                        value(row_batch, self.eval_ctx).value(0)
+                        for value in insert_values)
                     new_rows.append(row)
                 if new_rows:
                     # dynamic routing for partitioned targets
@@ -477,29 +483,22 @@ class TableWriter:
         self.initiator.check_table(table)
         return DmlResult(total, "merge", table.qualified_name)
 
-    def _matched_action(self, when_clauses, pair_row):
-        for clause in when_clauses:
-            if not clause.matched:
-                continue
-            if clause.condition is not None:
-                if not expr_eval.evaluate_predicate(
-                        clause.condition, pair_row, self.eval_ctx)[0]:
-                    continue
-            return clause.action, clause
-        return None
+    def _matched_action(self, matched_clauses, pair_row):
+        """``(action, SET kernels)`` of the first WHEN MATCHED clause
+        whose condition holds; ``(None, None)`` when none does."""
+        for action, holds, setters in matched_clauses:
+            if holds is None or holds(pair_row, self.eval_ctx)[0]:
+                return action, setters
+        return None, None
 
     def _merge_update_row(self, table: TableDescriptor, pair_row,
-                          clause) -> tuple:
+                          setters: dict) -> tuple:
         values = []
-        for i, col in enumerate(table.schema):
-            expr = clause.assignments.get(i) \
-                if isinstance(clause.assignments, dict) else None
-            if expr is None:
-                values.append(pair_row.vectors[i].value(0))
-            else:
-                values.append(
-                    expr_eval.evaluate(expr, pair_row,
-                                       self.eval_ctx).value(0))
+        for i in range(len(table.schema)):
+            setter = setters.get(i)
+            vector = (pair_row.vectors[i] if setter is None
+                      else setter(pair_row, self.eval_ctx))
+            values.append(vector.value(0))
         return tuple(values)
 
 

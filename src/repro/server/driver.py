@@ -22,7 +22,7 @@ from ..config import KNOBS, SET_NAMES, HiveConf
 from ..errors import (AnalysisError, CatalogError, ExecutionError,
                       HiveError, PlanInvariantError, QueryKilledError,
                       TransactionError, VertexFailureError)
-from ..exec.expr_eval import EvalContext
+from ..exec.compile import EvalContext, evaluate, evaluate_predicate
 from ..exec.operators import ExecutionContext, execute
 from ..faults import FaultRegistry
 from ..fs import SimFileSystem
@@ -1368,7 +1368,6 @@ class Session:
         scope = Scope([ScopeEntry(alias.lower(), source_schema, 0)])
 
         # branch evaluation + single-transaction writes
-        from ..exec import expr_eval
         writer = self._writer()
         own_txn = self._active_txn is None
         txn = (self.hms.txn_manager.open_transaction() if own_txn
@@ -1393,7 +1392,7 @@ class Session:
                 converter = _ExprConverter(analyzer, scope, None, {})
                 if spec.where is not None:
                     condition = converter.convert(spec.where)
-                    mask = expr_eval.evaluate_predicate(
+                    mask = evaluate_predicate(
                         condition, batch, writer.eval_ctx)
                     batch = batch.filter(mask)
                 columns = []
@@ -1402,7 +1401,7 @@ class Session:
                         columns.extend(batch.vectors)
                         continue
                     expr = converter.convert(item.expr)
-                    columns.append(expr_eval.evaluate(
+                    columns.append(evaluate(
                         expr, batch, writer.eval_ctx))
                 rows = [tuple(col.value(i) for col in columns)
                         for i in range(batch.num_rows)]

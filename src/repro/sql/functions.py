@@ -1,6 +1,6 @@
 """Function registry: names, arities and result-type inference.
 
-Evaluation lives in :mod:`repro.exec.expr_eval`; this module is the
+Evaluation lives in :mod:`repro.exec.compile`; this module is the
 shared metadata the analyzer uses for type checking.
 """
 

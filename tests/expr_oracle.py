@@ -1,29 +1,19 @@
-"""Vectorized Rex evaluation.
+"""The tree-walking Rex interpreter: parity oracle for the one
+expression engine in ``src/``, :mod:`repro.exec.compile`.
 
-Evaluates a :class:`~repro.plan.rexnodes.RexNode` over a
-:class:`~repro.common.vector.VectorBatch`, producing a
-:class:`~repro.common.vector.ColumnVector`.  Operations are numpy
-array-at-a-time — this is the "vectorized operators" half of Hive's
-runtime improvements ([39], Section 5); the row-at-a-time fallback used
-by the legacy profile lives in the cost model, not here (both profiles
-compute identical results; they are *charged* differently).
+It re-walks the expression tree on every batch — isinstance checks,
+dict dispatch, per-row Python loops for string functions and casts —
+which makes it slow and easy to read, the two things a reference wants
+to be.  tests/test_expr_compile.py evaluates every expression both
+ways and demands identical values, null masks and dtypes.
 
-This module is the reference *interpreter*: it re-walks the expression
-tree on every batch.  The hot path uses :mod:`repro.exec.compile`, which
-lowers a tree once into a fused closure chain; the parity suite
-(tests/test_expr_compile.py) pins compiled kernels to the semantics
-defined here.
+It imports nothing from ``repro.exec``: the EXTRACT / ADD_MONTHS /
+RAND helpers below are its own copies, so an error in the compiler's
+copy cannot hide by being shared.
 
 NULL semantics: three-valued logic for comparisons and AND/OR; nulls
 propagate through arithmetic and functions; predicates treat NULL as
 false at filter time.
-
-Determinism: expressions never read the wall clock or unseeded process
-randomness.  ``CURRENT_DATE``/``CURRENT_TIMESTAMP`` resolve against the
-:class:`EvalContext`'s *virtual* statement time (pinned once per
-statement from the session clock) and ``RAND`` is a pure function of
-(seed-or-query-id, absolute row index), so repeated runs — including
-seeded fault replays — are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,22 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.types import (BIGINT, BOOLEAN, DATE, DOUBLE, INT, STRING,
-                            TIMESTAMP, DataType)
-from ..common.vector import ColumnVector, VectorBatch
-from ..errors import ExecutionError
-from ..plan.rexnodes import RexCall, RexInputRef, RexLiteral, RexNode
+from repro.common.types import (BOOLEAN, DATE, DOUBLE, INT, STRING,
+                                TIMESTAMP, DataType)
+from repro.common.vector import ColumnVector, VectorBatch
+from repro.errors import ExecutionError
+from repro.plan.rexnodes import RexCall, RexInputRef, RexLiteral, RexNode
 
 _EPOCH = datetime.date(1970, 1, 1)
 _EPOCH_DT = datetime.datetime(1970, 1, 1)
-
-#: operators whose value depends on the evaluation context rather than
-#: the input batch alone — never constant-folded, never compiled to a
-#: literal (the optimizer and repro.exec.compile both consult this)
-CONTEXT_DEPENDENT_OPS = frozenset({
-    "RAND", "CURRENT_DATE", "CURRENT_TIMESTAMP",
-})
-
 
 @dataclass
 class EvalContext:
@@ -396,7 +378,7 @@ def iso_week(days: np.ndarray) -> np.ndarray:
 
 
 def extract_unit(unit: str, operand: ColumnVector) -> np.ndarray:
-    """The EXTRACT computation shared by interpreter and compiler."""
+    """The EXTRACT computation for one unit, as int64."""
     days = _dates_of(operand)
     years = days.astype("datetime64[Y]")
     if unit == "YEAR":
@@ -449,7 +431,7 @@ def _date_add_days(expr: RexCall, batch: VectorBatch,
 
 def add_months_array(operand: ColumnVector,
                      amount: ColumnVector) -> np.ndarray:
-    """DATE_ADD_MONTHS payload shared by interpreter and compiler."""
+    """DATE_ADD_MONTHS payload, row by row over Python dates."""
     out = np.zeros(len(operand), dtype=operand.data.dtype)
     for i in range(len(operand)):
         if operand.nulls[i] or amount.nulls[i]:

@@ -7,8 +7,7 @@ import pytest
 
 from repro.common.rows import Column, Schema
 from repro.common.types import DATE, DOUBLE, INT, STRING
-from repro.common.vector import (ColumnVector, VectorBatch,
-                                 rows_to_batches)
+from repro.common.vector import ColumnVector, VectorBatch
 from repro.errors import AnalysisError, ExecutionError
 
 
@@ -119,11 +118,6 @@ class TestVectorBatch:
         merged = VectorBatch.concat(simple_schema, [])
         assert merged.num_rows == 0
         assert merged.schema == simple_schema
-
-    def test_rows_to_batches_chunks(self, simple_schema):
-        rows = [(i, "s", float(i), None) for i in range(10)]
-        batches = list(rows_to_batches(simple_schema, rows, batch_size=4))
-        assert [b.num_rows for b in batches] == [4, 4, 2]
 
     def test_column_by_name(self, simple_schema):
         batch = VectorBatch.from_rows(simple_schema, [(7, "x", 0.5, None)])

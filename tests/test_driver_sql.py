@@ -203,6 +203,33 @@ class TestQueries:
             "SELECT COUNT(*), COUNT(b), SUM(c), AVG(c) FROM t").rows
         assert rows == [(5, 4, 12.0, 3.0)]
 
+    def test_integer_sum_is_exact_beyond_2_53(self, session):
+        # float64 accumulation lost the low bits: ...996 and ...992
+        session.execute("CREATE TABLE big (g INT, x BIGINT)")
+        session.execute("INSERT INTO big VALUES "
+                        "(1, 9007199254740993), (1, 1), (2, 5)")
+        assert session.execute("SELECT SUM(x), SUM(DISTINCT x) FROM big"
+                               ).rows == [(9007199254740999,) * 2]
+        assert session.execute(
+            "SELECT g, SUM(x), AVG(x) FROM big GROUP BY g ORDER BY g"
+        ).rows == [(1, 9007199254740994, 9007199254740994 / 2),
+                   (2, 5, 5.0)]
+
+    def test_count_distinct_sees_nan_as_one_value(self, session):
+        # as SELECT DISTINCT and GROUP BY do; each NaN used to count
+        session.execute("CREATE TABLE f (g INT, d DOUBLE)")
+        session.execute(
+            "INSERT INTO f VALUES (1, CAST('nan' AS DOUBLE)), "
+            "(1, CAST('nan' AS DOUBLE)), (1, 1.0)")
+        assert session.execute("SELECT COUNT(DISTINCT d) FROM f"
+                               ).rows == [(2,)]
+        assert session.execute(
+            "SELECT g, COUNT(DISTINCT d) FROM f GROUP BY g"
+        ).rows == [(1, 2)]
+        assert len(session.execute("SELECT DISTINCT d FROM f").rows) == 2
+        assert len(session.execute(
+            "SELECT d, COUNT(*) FROM f GROUP BY d").rows) == 2
+
     def test_join_inner_and_outer(self, data):
         inner = data.execute(
             "SELECT t.a, u.x FROM t JOIN u ON t.a = u.k ORDER BY 1, 2"
@@ -374,23 +401,18 @@ class TestVectorizedKnobsAndDeterminism:
     def data(self, loaded_session):
         return loaded_session
 
-    def test_compile_knob_toggles_without_changing_results(self, data):
-        query = ("SELECT a, upper(b), c * 2 + 1 FROM t "
-                 "WHERE a % 2 = 1 ORDER BY a")
-        on = data.execute(query).rows
-        data.execute("SET hive.vectorized.compile.enabled=false")
-        assert data.conf.vectorized_compile is False
-        assert data.execute(query).rows == on
-        data.execute("SET hive.vectorized.compile.enabled=true")
-        assert data.execute(query).rows == on
-
-    def test_fusion_knob_toggles_without_changing_results(self, data):
-        query = ("SELECT upper(b) FROM t WHERE c > 2 AND a < 5 "
-                 "ORDER BY a")
-        fused = data.execute(query).rows
-        data.execute("SET hive.vectorized.fusion.enabled=false")
-        assert data.conf.vectorized_fusion is False
-        assert data.execute(query).rows == fused
+    def test_engine_choice_knobs_are_gone(self, data):
+        # one expression engine, one Filter->Project path: nothing to set
+        for name in ("hive.vectorized.compile.enabled",
+                     "vectorized_compile",
+                     "hive.vectorized.fusion.enabled",
+                     "vectorized_fusion"):
+            with pytest.raises(AnalysisError,
+                               match="unknown configuration key"):
+                data.execute(f"SET {name}=false")
+        # the cost-model toggle Fig. 7 needs is a different knob
+        data.execute("SET hive.vectorized.execution.enabled=false")
+        assert data.conf.vectorized_execution is False
 
     def test_current_date_is_virtual_not_host(self, data):
         # the session clock starts at the virtual epoch; a wall-clock

@@ -1,13 +1,13 @@
-"""Compiled-kernel parity: repro.exec.compile must be bit-identical to
-the repro.exec.expr_eval reference interpreter.
+"""Kernel parity: repro.exec.compile, the one expression engine in
+src/, must be bit-identical to the tree-walking interpreter kept as
+the oracle in tests/expr_oracle.py.
 
-The compiler is only allowed to be *faster*; every golden test here
-evaluates the same expression both ways over randomized batches (all
-dtypes, varied NULL patterns, empty batches, division by zero) and
-demands identical values, nulls and dtypes.  Three-valued-logic truth
-tables pin AND/OR/NOT/CASE/IF behaviour explicitly, and the kernel
-cache's typed-digest keying, LRU eviction and hit accounting are
-checked directly.
+Every golden test here evaluates the same expression both ways over
+randomized batches (all dtypes, varied NULL patterns, empty batches,
+division by zero) and demands identical values, nulls and dtypes.
+Three-valued-logic truth tables pin AND/OR/NOT/CASE/IF behaviour
+explicitly, and the kernel cache's typed-digest keying, LRU eviction
+and hit accounting are checked directly.
 """
 
 import datetime
@@ -20,13 +20,24 @@ from repro.common.rows import Column, Schema
 from repro.common.types import (BIGINT, BOOLEAN, DATE, DOUBLE, INT,
                                 STRING, TIMESTAMP)
 from repro.common.vector import ColumnVector, VectorBatch
-from repro.exec.compile import (KernelCache, compile_expr,
+from repro.errors import ExecutionError
+from repro.exec.compile import (EvalContext, KernelCache, compile_expr,
                                 compile_predicate, typed_digest)
-from repro.exec.expr_eval import (EvalContext, evaluate,
-                                  evaluate_predicate)
 from repro.plan.rexnodes import RexCall, RexInputRef, RexLiteral, make_call
 
+from . import expr_oracle
+from .expr_oracle import evaluate, evaluate_predicate
+
 CTX = EvalContext(now_s=1_700_000_123.456, query_id=7)
+
+
+def oracle_ctx(ctx):
+    """The same statement inputs in the oracle's own context type."""
+    return expr_oracle.EvalContext(ctx.now_s, ctx.query_id,
+                                   ctx.row_offset)
+
+
+ORACLE_CTX = oracle_ctx(CTX)
 
 
 def col(i, dtype):
@@ -90,7 +101,7 @@ def _same_value(a, b) -> bool:
 
 
 def assert_parity(expr, batch, ctx=CTX):
-    expected = evaluate(expr, batch, ctx)
+    expected = evaluate(expr, batch, oracle_ctx(ctx))
     actual = compile_expr(expr)(batch, ctx)
     assert actual.dtype == expected.dtype, expr.digest
     ev, av = expected.to_values(), actual.to_values()
@@ -100,7 +111,7 @@ def assert_parity(expr, batch, ctx=CTX):
             f"{expr.digest} row {row}: interpreted={e!r} compiled={a!r}")
     # predicates additionally agree on the NULL-is-false mask
     if expr.dtype is BOOLEAN:
-        em = evaluate_predicate(expr, batch, ctx)
+        em = evaluate_predicate(expr, batch, oracle_ctx(ctx))
         am = compile_predicate(expr)(batch, ctx)
         assert em.tolist() == am.tolist(), expr.digest
 
@@ -177,14 +188,27 @@ def corpus():
         RexCall("POWER", (f, lit(2, INT)), DOUBLE),
         RexCall("GREATEST", (i, lit(0, INT)), INT),
         RexCall("LEAST", (f, lit(0.0, DOUBLE)), DOUBLE),
-        # context-dependent + interpreter-fallback ops
+        # context-dependent
         RexCall("RAND", (lit(42, INT),), DOUBLE),
         RexCall("CURRENT_DATE", (), DATE),
         RexCall("CURRENT_TIMESTAMP", (), TIMESTAMP),
+        # the row-wise kernels: HASH, SUBSTR with column bounds, ROUND
+        # with column digits (a NULL literal bound takes the same road)
         RexCall("HASH", (i, s), BIGINT),
-        # constant folding inside a live expression
+        RexCall("HASH", (f,), BIGINT),
+        RexCall("SUBSTR", (s, i), STRING),
+        RexCall("SUBSTR", (s, lit(2, INT), i), STRING),
+        RexCall("SUBSTR", (s, i, lit(2, INT)), STRING),
+        RexCall("SUBSTR", (s, lit(None, INT)), STRING),
+        RexCall("ROUND", (f, i), DOUBLE),
+        RexCall("ROUND", (f, lit(None, INT)), DOUBLE),
+        RexCall("ROUND", (f,), DOUBLE),
+        # constant folding inside a live expression, bottom-up
         RexCall("+", (i, RexCall("*", (lit(6, INT), lit(7, INT)), INT)),
                 INT),
+        RexCall("CONCAT", (s, RexCall("UPPER", (RexCall("CAST", (
+            RexCall("+", (lit(1, INT), lit(2, INT)), INT),), STRING),),
+            STRING)), STRING),
     ]
 
 
@@ -235,7 +259,7 @@ class TestThreeValuedLogic:
         expected = [True, False, None,
                     False, False, False,
                     None, False, None]
-        assert evaluate(expr, tvl_batch, CTX).to_values() == expected
+        assert evaluate(expr, tvl_batch, ORACLE_CTX).to_values() == expected
         assert compile_expr(expr)(tvl_batch, CTX).to_values() == expected
 
     def test_or_table(self, tvl_batch):
@@ -243,13 +267,13 @@ class TestThreeValuedLogic:
         expected = [True, True, True,
                     True, False, None,
                     True, None, None]
-        assert evaluate(expr, tvl_batch, CTX).to_values() == expected
+        assert evaluate(expr, tvl_batch, ORACLE_CTX).to_values() == expected
         assert compile_expr(expr)(tvl_batch, CTX).to_values() == expected
 
     def test_not_table(self, tvl_batch):
         expr = make_call("NOT", col(0, BOOLEAN))
         expected = [False] * 3 + [True] * 3 + [None] * 3
-        assert evaluate(expr, tvl_batch, CTX).to_values() == expected
+        assert evaluate(expr, tvl_batch, ORACLE_CTX).to_values() == expected
         assert compile_expr(expr)(tvl_batch, CTX).to_values() == expected
 
     def test_case_null_condition_falls_through(self, tvl_batch):
@@ -257,14 +281,14 @@ class TestThreeValuedLogic:
         expr = RexCall("CASE", (col(0, BOOLEAN), lit(1, INT),
                                 lit(0, INT)), INT)
         expected = [1, 1, 1, 0, 0, 0, 0, 0, 0]
-        assert evaluate(expr, tvl_batch, CTX).to_values() == expected
+        assert evaluate(expr, tvl_batch, ORACLE_CTX).to_values() == expected
         assert compile_expr(expr)(tvl_batch, CTX).to_values() == expected
 
     def test_if_null_condition_takes_else(self, tvl_batch):
         expr = RexCall("IF", (col(1, BOOLEAN), lit("t", STRING),
                               lit("e", STRING)), STRING)
         expected = ["t", "e", "e"] * 3
-        assert evaluate(expr, tvl_batch, CTX).to_values() == expected
+        assert evaluate(expr, tvl_batch, ORACLE_CTX).to_values() == expected
         assert compile_expr(expr)(tvl_batch, CTX).to_values() == expected
 
     def test_predicate_mask_null_is_false(self, tvl_batch):
@@ -288,7 +312,7 @@ class TestContextDependence:
         first = kernel(batch, CTX).to_values()
         second = kernel(batch, CTX).to_values()
         assert first == second
-        assert first == evaluate(expr, batch, CTX).to_values()
+        assert first == evaluate(expr, batch, ORACLE_CTX).to_values()
         assert len(set(first)) > 1          # per-row, not one constant
         assert all(0.0 <= v < 1.0 for v in first)
 
@@ -320,12 +344,12 @@ class TestContextDependence:
         want = (datetime.date(1970, 1, 1)
                 + datetime.timedelta(days=int(CTX.now_s // 86400)))
         assert out == [want] * batch.num_rows
-        assert out == evaluate(expr, batch, CTX).to_values()
+        assert out == evaluate(expr, batch, ORACLE_CTX).to_values()
 
     def test_current_timestamp_millisecond_precision(self, batch):
         expr = RexCall("CURRENT_TIMESTAMP", (), TIMESTAMP)
         out = compile_expr(expr)(batch, CTX).to_values()
-        assert out == evaluate(expr, batch, CTX).to_values()
+        assert out == evaluate(expr, batch, ORACLE_CTX).to_values()
         assert out[0].microsecond == 456000   # ms resolution, no finer
 
     def test_default_context_is_epoch(self, batch):
@@ -387,7 +411,7 @@ class TestCompiledCorrectnessDetails:
         expr = RexCall("%", (col(0, INT), lit(3, INT)), INT)
         out = compile_expr(expr)(batch, CTX).to_values()
         assert out == [-1, 1, -1, 0]
-        assert out == evaluate(expr, batch, CTX).to_values()
+        assert out == evaluate(expr, batch, ORACLE_CTX).to_values()
 
     def test_nullif_keeps_expression_dtype(self):
         schema = Schema([Column("i", INT)])
@@ -396,7 +420,7 @@ class TestCompiledCorrectnessDetails:
         out = compile_expr(expr)(batch, CTX)
         assert out.dtype == DOUBLE
         assert out.to_values() == [None, 2.0]
-        ref = evaluate(expr, batch, CTX)
+        ref = evaluate(expr, batch, ORACLE_CTX)
         assert ref.dtype == DOUBLE
         assert ref.to_values() == out.to_values()
 
@@ -417,7 +441,7 @@ class TestCompiledCorrectnessDetails:
                datetime.date(2021, 1, 1).isocalendar()[1],
                datetime.date(2020, 6, 15).isocalendar()[1]]
         assert out == iso == [53, 53, 25]
-        assert out == evaluate(expr, batch, CTX).to_values()
+        assert out == evaluate(expr, batch, ORACLE_CTX).to_values()
 
     def test_division_by_zero_nulls_not_inf(self):
         schema = Schema([Column("f", DOUBLE)])
@@ -425,7 +449,7 @@ class TestCompiledCorrectnessDetails:
         expr = RexCall("/", (col(0, DOUBLE), col(0, DOUBLE)), DOUBLE)
         out = compile_expr(expr)(batch, CTX).to_values()
         assert out == [1.0, None, 1.0]
-        assert out == evaluate(expr, batch, CTX).to_values()
+        assert out == evaluate(expr, batch, ORACLE_CTX).to_values()
 
     def test_cast_garbage_under_null_does_not_crash(self):
         # object cells under a null flag may hold arbitrary garbage;
@@ -437,3 +461,67 @@ class TestCompiledCorrectnessDetails:
         expr = RexCall("CAST", (col(0, STRING),), INT)
         out = compile_expr(expr)(batch, CTX).to_values()
         assert out == [1, None]
+
+    def test_rowwise_kernels(self):
+        # the three per-row loops the compiler keeps, against plain
+        # Python values; any NULL argument makes the row NULL
+        schema = Schema([Column("s", STRING), Column("k", INT),
+                         Column("f", DOUBLE)])
+        batch = VectorBatch.from_rows(schema, [
+            ("hello", 2, 2.345), ("world", 4, 1.25), (None, 1, None),
+            ("abc", None, 0.5)])
+        s, k, f = col(0, STRING), col(1, INT), col(2, DOUBLE)
+
+        def run(expr):
+            return compile_expr(expr)(batch, CTX).to_values()
+
+        assert run(RexCall("SUBSTR", (s, k), STRING)) == [
+            "ello", "ld", None, None]
+        assert run(RexCall("SUBSTR", (s, lit(1, INT), k), STRING)) == [
+            "he", "worl", None, None]
+        assert run(RexCall("ROUND", (f, k), DOUBLE)) == [
+            round(2.345, 2), 1.25, None, None]
+        mask = 0x7FFFFFFFFFFFFFFF
+        assert run(RexCall("HASH", (k, s), BIGINT)) == [
+            hash((2, "hello")) & mask, hash((4, "world")) & mask,
+            None, None]
+
+    def test_null_literal_bound_is_null_not_a_type_error(self):
+        batch = VectorBatch.from_rows(Schema([Column("s", STRING)]),
+                                      [("hello",)])
+        expr = RexCall("SUBSTR", (col(0, STRING), lit(None, INT)), STRING)
+        assert compile_expr(expr)(batch, CTX).to_values() == [None]
+
+
+class TestLoweringErrors:
+    """What the engine cannot lower is refused when the kernel is
+    built, with the text the interpreter raises while evaluating."""
+
+    BATCH = VectorBatch.from_rows(
+        Schema([Column("i", INT), Column("s", STRING)]), [(1, "a")])
+
+    def _both_raise(self, expr, text):
+        with pytest.raises(ExecutionError, match=text):
+            compile_expr(expr)
+        with pytest.raises(ExecutionError, match=text):
+            evaluate(expr, self.BATCH, ORACLE_CTX)
+
+    def test_non_literal_in_list(self):
+        self._both_raise(
+            make_call("IN", col(0, INT), lit(1, INT), col(0, INT)),
+            "IN list values must be literals")
+
+    def test_non_literal_like_pattern(self):
+        self._both_raise(
+            make_call("LIKE", col(1, STRING), col(1, STRING)),
+            "LIKE pattern must be a literal")
+
+    def test_operator_without_a_compiler(self):
+        self._both_raise(RexCall("NO_SUCH_OP", (col(0, INT),), INT),
+                         "no evaluator for operator 'NO_SUCH_OP'")
+
+    def test_error_inside_a_subtree_surfaces_at_lowering(self):
+        inner = make_call("LIKE", col(1, STRING), col(1, STRING))
+        outer = RexCall("CASE", (inner, lit(1, INT), lit(0, INT)), INT)
+        with pytest.raises(ExecutionError, match="LIKE pattern"):
+            compile_predicate(make_call("NOT", outer))

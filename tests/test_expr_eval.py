@@ -1,4 +1,5 @@
-"""Vectorized expression evaluation, including NULL semantics."""
+"""Vectorized expression evaluation, including NULL semantics —
+through the lower-and-run entry points of the one engine."""
 
 import datetime
 
@@ -9,7 +10,7 @@ from repro.common.rows import Column, Schema
 from repro.common.types import (BIGINT, BOOLEAN, DATE, DOUBLE, INT,
                                 STRING)
 from repro.common.vector import VectorBatch
-from repro.exec.expr_eval import evaluate, evaluate_predicate
+from repro.exec.compile import evaluate, evaluate_predicate
 from repro.plan.rexnodes import RexCall, RexInputRef, RexLiteral, make_call
 
 
@@ -265,7 +266,7 @@ class TestIsoWeek:
 
 class TestVirtualClock:
     def test_current_date_comes_from_context(self, batch):
-        from repro.exec.expr_eval import EvalContext
+        from repro.exec.compile import EvalContext
         ctx = EvalContext(now_s=86400.0 * 365 * 10 + 7200)
         expr = RexCall("CURRENT_DATE", (), DATE)
         out = evaluate(expr, batch, ctx).to_values()
@@ -275,7 +276,7 @@ class TestVirtualClock:
 
     def test_current_timestamp_from_context(self, batch):
         from repro.common.types import TIMESTAMP
-        from repro.exec.expr_eval import EvalContext
+        from repro.exec.compile import EvalContext
         ctx = EvalContext(now_s=12.345)
         expr = RexCall("CURRENT_TIMESTAMP", (), TIMESTAMP)
         out = evaluate(expr, batch, ctx).to_values()
@@ -307,7 +308,7 @@ class TestRandDeterminism:
         assert one != two
 
     def test_unseeded_rand_salted_by_query_id(self, batch):
-        from repro.exec.expr_eval import EvalContext
+        from repro.exec.compile import EvalContext
         expr = RexCall("RAND", (), DOUBLE)
         q1 = evaluate(expr, batch, EvalContext(query_id=1)).to_values()
         q2 = evaluate(expr, batch, EvalContext(query_id=2)).to_values()
@@ -317,7 +318,7 @@ class TestRandDeterminism:
         assert q1 == q1_again
 
     def test_row_offset_continues_stream(self):
-        from repro.exec.expr_eval import EvalContext
+        from repro.exec.compile import EvalContext
         schema = Schema([Column("i", INT)])
         big = VectorBatch.from_rows(schema, [(k,) for k in range(10)])
         lo = VectorBatch.from_rows(schema, [(k,) for k in range(6)])

@@ -3,6 +3,9 @@
 windows — directly against the interpreter with hand-built plans.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,14 @@ from repro.common.rows import Column, Schema
 from repro.common.types import BIGINT, BOOLEAN, DATE, DOUBLE, INT, STRING
 from repro.common.vector import VectorBatch
 from repro.errors import ExecutionError, OutOfMemoryError
+from repro.exec import operators as ops
 from repro.exec.operators import ExecutionContext, execute
 from repro.plan import relnodes as rel
 from repro.plan import rexnodes as rex
 from repro.plan.rexnodes import (AggregateCall, RexInputRef, RexLiteral,
                                  make_call)
+
+from . import expr_oracle
 
 LEFT = Schema([Column("id", INT), Column("tag", STRING)])
 RIGHT = Schema([Column("rid", INT), Column("val", DOUBLE)])
@@ -258,8 +264,9 @@ class TestMemoization:
 
 
 class TestFusionAndKernels:
-    """scan→filter→project fusion and compiled-kernel execution must be
-    invisible: same rows, same runtime stats, only faster."""
+    """A Filter under a Project is an ordinary operator (the class is
+    named for the fused path it once compared against), and every
+    expression runs on lowered kernels."""
 
     def _plan(self):
         condition = make_call(">", RexInputRef(0, INT),
@@ -270,29 +277,27 @@ class TestFusionAndKernels:
                            RexLiteral(100, INT)))
         return rel.Project(filt, exprs, ("tag", "idplus"))
 
-    def test_fused_matches_unfused(self):
-        plan = self._plan()
-        fused = execute(plan, make_ctx()).to_rows()
-        ctx = make_ctx()
-        ctx.fuse = False
-        assert fused == execute(plan, ctx).to_rows()
-        assert fused == [("b", 102), ("c", 103), ("b2", 102)]
-
     def test_fusion_records_bypassed_filter(self):
         plan = self._plan()
         ctx = make_ctx()
-        execute(plan, ctx)
-        # the Filter never ran as an operator, but reoptimization and
-        # EXPLAIN ANALYZE still need its output cardinality
+        assert execute(plan, ctx).to_rows() == [
+            ("b", 102), ("c", 103), ("b2", 102)]
+        # reoptimization and EXPLAIN ANALYZE need the Filter's output
+        # cardinality, which reaches them by the normal route
         assert ctx.runtime_stats[plan.input.digest] == 3
 
     def test_kernels_match_interpreter(self):
-        from repro.exec.compile import KernelCache
         plan = self._plan()
-        interpreted = execute(plan, make_ctx()).to_rows()
         ctx = make_ctx()
-        ctx.kernels = KernelCache()
-        assert execute(plan, ctx).to_rows() == interpreted
+        rows = execute(plan, ctx).to_rows()
+        # the same plan by hand through the interpreter under tests/
+        source = VectorBatch.from_rows(LEFT, LEFT_ROWS)
+        kept = source.filter(expr_oracle.evaluate_predicate(
+            plan.input.condition, source))
+        want = VectorBatch(plan.schema, [expr_oracle.evaluate(e, kept)
+                                         for e in plan.exprs])
+        assert rows == want.to_rows()
+        # a context built without a cache still lowers, into its own
         assert ctx.kernels.compiled > 0
 
     def test_fusion_skipped_for_memoized_filter(self):
@@ -305,9 +310,265 @@ class TestFusionAndKernels:
         assert plan.input.digest in ctx.memo
 
 
+# --------------------------------------------------------------------------- #
+# GROUP BY against the row loop it replaced
+
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _aggregate_rowwise(node, child, group_keys, sizes_out=None):
+    """The former ``operators._aggregate_rowwise``: one dict of
+    per-group states updated row by row.  Kept as the oracle for rows,
+    group order and ``sizes_out``.  One change from when it ran in
+    ``src/``: SUM/AVG start from integer 0, so integer arguments add
+    exactly (the float 0.0 it used to start from was the bug)."""
+    key_columns = [child.vectors[k] for k in group_keys]
+    n = child.num_rows
+    groups = {}
+    order = []
+    arg_columns = [None if call.arg is None else child.vectors[call.arg]
+                   for call in node.agg_calls]
+
+    def new_states():
+        return [_new_state(call) for call in node.agg_calls]
+
+    if not group_keys:
+        states = new_states()
+        groups[()] = states
+        order.append(())
+        for i in range(n):
+            _update_states(node.agg_calls, states, arg_columns, i)
+    else:
+        for i in range(n):
+            key = tuple(
+                None if kc.nulls[i] else _plain(kc.data[i])
+                for kc in key_columns)
+            states = groups.get(key)
+            if states is None:
+                states = new_states()
+                groups[key] = states
+                order.append(key)
+            if sizes_out is not None:
+                sizes_out[key] = sizes_out.get(key, 0) + 1
+            _update_states(node.agg_calls, states, arg_columns, i)
+
+    rows = []
+    for key in order:
+        states = groups[key]
+        finals = tuple(_finalize_state(call, state)
+                       for call, state in zip(node.agg_calls, states))
+        rows.append(key + finals)
+    return rows
+
+
+def _new_state(call):
+    if call.distinct:
+        return set()
+    if call.func == "count":
+        return 0
+    if call.func in ("sum", "avg"):
+        return [0, 0]            # sum, count
+    if call.func in ("min", "max"):
+        return [None]
+    if call.func in ("stddev", "variance"):
+        return [0.0, 0.0, 0]     # sum, sumsq, count
+    raise ExecutionError(f"unknown aggregate {call.func}")
+
+
+def _update_states(calls, states, arg_columns, i):
+    for slot, (call, state, column) in enumerate(
+            zip(calls, states, arg_columns)):
+        if column is None:       # count(*)
+            if call.distinct:
+                state.add(i)
+            else:
+                states[slot] += 1
+            continue
+        if column.nulls[i]:
+            continue
+        value = _plain(column.data[i])
+        if call.distinct:
+            state.add(value)
+        elif call.func == "count":
+            states[slot] += 1
+        elif call.func in ("sum", "avg"):
+            state[0] += value
+            state[1] += 1
+        elif call.func == "min":
+            if state[0] is None or value < state[0]:
+                state[0] = value
+        elif call.func == "max":
+            if state[0] is None or value > state[0]:
+                state[0] = value
+        elif call.func in ("stddev", "variance"):
+            state[0] += value
+            state[1] += value * value
+            state[2] += 1
+
+
+def _finalize_state(call, state):
+    if call.distinct:
+        if call.func == "count":
+            return len(state)
+        if not state:
+            return None
+        if call.func == "sum":
+            return sum(state)
+        if call.func == "avg":
+            return sum(state) / len(state)
+        if call.func == "min":
+            return min(state)
+        if call.func == "max":
+            return max(state)
+        raise ExecutionError(f"unsupported DISTINCT {call.func}")
+    if call.func == "count":
+        return state
+    if call.func == "sum":
+        if state[1] == 0:
+            return None
+        total = state[0]
+        return int(total) if call.dtype == BIGINT else total
+    if call.func == "avg":
+        return None if state[1] == 0 else state[0] / state[1]
+    if call.func in ("min", "max"):
+        return state[0]
+    if call.func in ("stddev", "variance"):
+        if state[2] == 0:
+            return None
+        mean = state[0] / state[2]
+        variance = max(0.0, state[1] / state[2] - mean * mean)
+        return variance if call.func == "variance" else variance ** 0.5
+    raise ExecutionError(call.func)
+
+
+#: argument columns by ordinal (after the two key columns) and what may
+#: be computed over each; BIGINT carries integers float64 cannot hold,
+#: whose squares it cannot either, so no stddev/variance there
+_ARG_POOLS = [
+    (INT, [None, 0, 1, -1, 2, 7, 100]),
+    (BIGINT, [None, 0, 1, -3, 2**53, 2**53 + 1, -(2**53) - 1]),
+    (DOUBLE, [None, 0.0, -0.0, 1.5, -2.25, 0.1, 0.2, 0.3, 1e6, 1e-3]),
+    (STRING, [None, "", "a", "b", "ab", "B", "\u00e9", "z"]),
+]
+_ARG_FUNCS = {
+    INT: ["count", "sum", "avg", "min", "max", "stddev", "variance"],
+    BIGINT: ["count", "sum", "avg", "min", "max"],
+    DOUBLE: ["count", "sum", "avg", "min", "max", "stddev", "variance"],
+    STRING: ["count", "min", "max"],
+}
+_GROUP_POOLS = [(INT, [None, 0, 1, 2, 3]), (STRING, [None, "", "a", "b"])]
+_AGG_SCHEMA = Schema(
+    [Column(f"k{i}", dtype) for i, (dtype, _) in enumerate(_GROUP_POOLS)]
+    + [Column(f"v{i}", dtype) for i, (dtype, _) in enumerate(_ARG_POOLS)])
+#: SUM/AVG(DISTINCT double) add in first-occurrence order, the row loop
+#: in set order: they may differ by the rounding of <= 300 additions of
+#: values up to 1e6
+_DISTINCT_SUM_TOL = 300 * np.finfo(np.float64).eps * 1e6
+
+
+@st.composite
+def _agg_inputs(draw):
+    """``(batch, group_keys, calls)``: 0-300 rows, NULL-heavy or
+    all-NULL columns included, 0-2 keys, 1-4 aggregate calls."""
+    columns = []
+    for _, pool in _GROUP_POOLS + _ARG_POOLS:
+        values = st.sampled_from(pool)
+        columns.append(draw(st.sampled_from(
+            [values, st.one_of(st.none(), st.none(), values),
+             st.none()])))
+    rows = draw(st.lists(st.tuples(*columns), max_size=300))
+    group_keys = tuple(draw(st.lists(
+        st.integers(0, len(_GROUP_POOLS) - 1), max_size=2, unique=True)))
+    calls = []
+    for n in range(draw(st.integers(1, 4))):
+        ordinal = draw(st.integers(0, len(_ARG_POOLS) - 1))
+        arg_type = _ARG_POOLS[ordinal][0]
+        func = draw(st.sampled_from(_ARG_FUNCS[arg_type]))
+        distinct = func not in ("stddev", "variance") and draw(
+            st.booleans())
+        arg = len(_GROUP_POOLS) + ordinal
+        if func == "count":
+            dtype = BIGINT
+            arg = draw(st.sampled_from([arg, None]))
+        elif func in ("min", "max"):
+            dtype = arg_type
+        elif func == "sum" and arg_type != DOUBLE:
+            dtype = BIGINT
+        else:
+            dtype = DOUBLE
+        calls.append(AggregateCall(func, arg, dtype, f"a{n}", distinct))
+    return VectorBatch.from_rows(_AGG_SCHEMA, rows), group_keys, calls
+
+
+def _assert_same_groups(calls, key_count, rows, want):
+    assert len(rows) == len(want)
+    for row, want_row in zip(rows, want):
+        assert row[:key_count] == want_row[:key_count]
+        for call, got, expected in zip(calls, row[key_count:],
+                                       want_row[key_count:]):
+            assert type(got) is type(expected), (call.digest, row, want_row)
+            if (call.distinct and call.func in ("sum", "avg")
+                    and isinstance(got, float)):
+                assert math.isclose(got, expected, rel_tol=0.0,
+                                    abs_tol=_DISTINCT_SUM_TOL)
+            else:
+                # == compares -0.0 and 0.0 by value
+                assert got == expected, (call.digest, row, want_row)
+
+
 class TestVectorizedAggregationParity:
-    """The factorized fast path must equal the row-wise fallback —
-    including group order (first occurrence) and float accumulation."""
+    """``_aggregate_vectorized`` must equal the row loop it replaced —
+    rows, group order (first occurrence), float accumulation and the
+    per-key sizes the skew model consumes."""
+
+    @given(_agg_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_loop(self, inputs):
+        batch, group_keys, calls = inputs
+        node = rel.Aggregate(scan("t", _AGG_SCHEMA), group_keys,
+                             tuple(calls))
+        sizes, want_sizes = {}, {}
+        rows = ops._aggregate_vectorized(node, batch, group_keys, sizes)
+        want = _aggregate_rowwise(node, batch, group_keys, want_sizes)
+        _assert_same_groups(calls, len(group_keys), rows, want)
+        assert list(sizes.items()) == list(want_sizes.items())
+
+    @given(_agg_inputs(), st.lists(st.lists(
+        st.integers(0, 1), max_size=2, unique=True), min_size=1,
+        max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_grouping_sets_match_the_row_loop(self, inputs, sets):
+        batch, _, calls = inputs
+        node = rel.Aggregate(
+            scan("t", _AGG_SCHEMA), (0, 1), tuple(calls),
+            grouping_sets=tuple(tuple(sorted(s)) for s in sets))
+        ctx = ExecutionContext(scan_executor=lambda n: batch)
+        rows = execute(node, ctx).to_rows()
+        fast = ops._aggregate_vectorized
+        ops._aggregate_vectorized = _aggregate_rowwise
+        try:
+            want = execute(node, ExecutionContext(
+                scan_executor=lambda n: batch)).to_rows()
+        finally:
+            ops._aggregate_vectorized = fast
+        # the trailing grouping_id rides along as one more exact column
+        _assert_same_groups(
+            calls + [AggregateCall("count", None, BIGINT, "grouping_id")],
+            2, rows, want)
+
+    def test_empty_input_with_and_without_keys(self):
+        empty = VectorBatch.from_rows(_AGG_SCHEMA, [])
+        calls = (AggregateCall("count", None, BIGINT, "n"),
+                 AggregateCall("count", 2, BIGINT, "c", distinct=True),
+                 AggregateCall("sum", 3, BIGINT, "s"),
+                 AggregateCall("avg", 4, DOUBLE, "a", distinct=True),
+                 AggregateCall("min", 5, STRING, "lo"),
+                 AggregateCall("stddev", 4, DOUBLE, "sd"))
+        node = rel.Aggregate(scan("t", _AGG_SCHEMA), (), calls)
+        assert ops._aggregate_vectorized(node, empty, ()) == [
+            (0, 0, None, None, None, None)]
+        assert ops._aggregate_vectorized(node, empty, (0,)) == []
 
     def test_group_order_is_first_occurrence(self):
         schema = Schema([Column("g", INT), Column("v", INT)])
@@ -322,13 +583,13 @@ class TestVectorizedAggregationParity:
              AggregateCall("max", 1, INT, "hi")),
             ("g",))
         rows = execute(plan, ctx).to_rows()
-        # legacy dict-insertion order: 3, 1, 2, NULL — exactly
+        # dict-insertion order of the row loop: 3, 1, 2, NULL — exactly
         assert rows == [(3, 4, 2, 1, 3), (1, 7, 2, 2, 5),
                         (2, 4, 1, 4, 4), (None, 6, 1, 6, 6)]
 
     def test_string_group_key_and_min_max_fallback(self):
-        # grouping by a string key factorizes; a string min/max
-        # aggregate forces the row-wise fallback — results must agree
+        # grouping by a string key and a string min/max aggregate (by
+        # code-point rank; it once forced the row-wise fallback)
         schema = Schema([Column("g", STRING), Column("v", INT)])
         data = [("b", 1), ("a", 2), ("b", 3), (None, 4), ("a", 5)]
         batch = VectorBatch.from_rows(schema, data)
@@ -345,9 +606,18 @@ class TestVectorizedAggregationParity:
         assert execute(plan_min, ctx2).to_rows() == [
             (1, "b"), (2, "a"), (3, "b"), (4, None), (5, "a")]
 
+    def test_string_min_max_is_code_point_order(self):
+        schema = Schema([Column("s", STRING)])
+        batch = VectorBatch.from_rows(
+            schema, [("b",), ("B",), (None,), ("\u00e9",), ("ab",), ("",)])
+        node = rel.Aggregate(
+            rel.TableScan("t", schema), (),
+            (AggregateCall("min", 0, STRING, "lo"),
+             AggregateCall("max", 0, STRING, "hi")))
+        assert ops._aggregate_vectorized(node, batch, ()) == [
+            ("", "\u00e9")]
+
     def test_fast_path_bit_matches_rowwise(self):
-        import numpy as np
-        from repro.exec import operators as ops
         rng = np.random.default_rng(3)
         n = 500
         schema = Schema([Column("g", INT), Column("v", DOUBLE)])
@@ -363,13 +633,10 @@ class TestVectorizedAggregationParity:
              AggregateCall("max", 1, DOUBLE, "hi")),
             ("g",))
         fast = ops._aggregate_vectorized(node, batch, (0,), None)
-        slow = ops._aggregate_rowwise(node, batch, (0,), None)
-        assert fast is not None
+        slow = _aggregate_rowwise(node, batch, (0,), None)
         assert fast == slow                    # bit-equal floats
 
     def test_global_aggregate_bit_matches_rowwise(self):
-        import numpy as np
-        from repro.exec import operators as ops
         rng = np.random.default_rng(4)
         schema = Schema([Column("v", DOUBLE)])
         data = [(float(rng.normal(0, 1)),) for _ in range(257)]
@@ -380,19 +647,58 @@ class TestVectorizedAggregationParity:
              AggregateCall("count", None, BIGINT, "c"),
              AggregateCall("variance", 0, DOUBLE, "var")), ())
         fast = ops._aggregate_vectorized(node, batch, (), None)
-        slow = ops._aggregate_rowwise(node, batch, (), None)
-        assert fast is not None
+        slow = _aggregate_rowwise(node, batch, (), None)
         assert fast == slow
 
-    def test_distinct_falls_back(self):
-        from repro.exec import operators as ops
-        schema = Schema([Column("g", INT), Column("v", INT)])
-        batch = VectorBatch.from_rows(schema, [(1, 2), (1, 2), (2, 3)])
+    def test_distinct_double_sum_adds_in_first_occurrence_order(self):
+        # (1e16 + 1.0) - 1e16 is 0.0; any other order of the three
+        # distinct values gives 1.0 or 2.0
+        schema = Schema([Column("v", DOUBLE)])
+        batch = VectorBatch.from_rows(
+            schema, [(1e16,), (1.0,), (1e16,), (-1e16,), (1.0,)])
+        node = rel.Aggregate(
+            rel.TableScan("t", schema), (),
+            (AggregateCall("sum", 0, DOUBLE, "s", distinct=True),
+             AggregateCall("avg", 0, DOUBLE, "a", distinct=True)))
+        assert ops._aggregate_vectorized(node, batch, ()) == [(0.0, 0.0)]
+
+    def test_distinct_treats_nan_and_signed_zero_as_group_by_does(self):
+        nan = float("nan")
+        schema = Schema([Column("g", INT), Column("v", DOUBLE)])
+        batch = VectorBatch.from_rows(
+            schema, [(1, nan), (1, nan), (1, 1.0), (2, -0.0), (2, 0.0),
+                     (2, None)])
         node = rel.Aggregate(
             rel.TableScan("t", schema), (0,),
-            (AggregateCall("count", 1, BIGINT, "c", distinct=True),),
-            ("g",))
-        assert ops._aggregate_vectorized(node, batch, (0,), None) is None
+            (AggregateCall("count", 1, BIGINT, "c", distinct=True),))
+        assert ops._aggregate_vectorized(node, batch, (0,)) == [
+            (1, 2), (2, 1)]
+        # the same column as a GROUP BY key sees the same values
+        by_value = rel.Aggregate(rel.TableScan("t", schema), (1,), ())
+        assert len(ops._aggregate_vectorized(by_value, batch, (1,))) == 4
+
+    def test_distinct_stddev_is_refused(self):
+        schema = Schema([Column("v", DOUBLE)])
+        batch = VectorBatch.from_rows(schema, [(1.0,), (2.0,)])
+        for func in ("stddev", "variance"):
+            node = rel.Aggregate(
+                rel.TableScan("t", schema), (),
+                (AggregateCall(func, 0, DOUBLE, "x", distinct=True),))
+            with pytest.raises(ExecutionError,
+                               match=f"unsupported DISTINCT {func}"):
+                ops._aggregate_vectorized(node, batch, ())
+            with pytest.raises(ExecutionError,
+                               match=f"unsupported DISTINCT {func}"):
+                _aggregate_rowwise(node, batch, ())
+
+    def test_unknown_aggregate_is_refused(self):
+        schema = Schema([Column("v", DOUBLE)])
+        batch = VectorBatch.from_rows(schema, [(1.0,)])
+        node = rel.Aggregate(
+            rel.TableScan("t", schema), (),
+            (AggregateCall("median", 0, DOUBLE, "m"),))
+        with pytest.raises(ExecutionError, match="unknown aggregate"):
+            ops._aggregate_vectorized(node, batch, ())
 
 
 # --------------------------------------------------------------------------- #
@@ -402,8 +708,6 @@ def _candidate_pairs_rowloop(left, right, pairs):
     """The former ``operators._candidate_pairs``: a Python dict built and
     probed row by row.  Kept as the oracle for pair order, key equality
     and the per-key histogram."""
-    import numpy as np
-    from repro.exec.operators import _plain
     build = {}
     right_keys = [right.vectors[r] for _, r in pairs]
     for i in range(right.num_rows):
@@ -461,10 +765,9 @@ class TestHashJoinParity:
     @given(_join_inputs())
     @settings(max_examples=300, deadline=None)
     def test_pairs_and_histogram_match_the_row_loop(self, inputs):
-        from repro.exec.operators import _candidate_pairs
         types, left, right = inputs
         pairs = [(i, i) for i in range(len(types))]
-        li, ri, counts = _candidate_pairs(left, right, pairs)
+        li, ri, counts = ops._candidate_pairs(left, right, pairs)
         want_li, want_ri, want_counts = _candidate_pairs_rowloop(
             left, right, pairs)
         assert li.dtype == ri.dtype == want_li.dtype
@@ -478,7 +781,6 @@ class TestHashJoinParity:
         ["inner", "left", "right", "full", "semi", "anti"]))
     @settings(max_examples=300, deadline=None)
     def test_every_join_kind_matches_the_row_loop(self, inputs, kind):
-        from repro.exec import operators as ops
         types, left, right = inputs
         width = len(left.schema)
         condition = rex.make_and([
@@ -500,7 +802,6 @@ class TestHashJoinParity:
         assert repr(ctx.key_counts) == repr(want_ctx.key_counts)
 
     def test_no_histogram_beyond_the_key_limit(self):
-        from repro.exec import operators as ops
         n = ops.KEY_HISTOGRAM_MAX_KEYS + 1
         schema = Schema([Column("k", INT)])
         batch = VectorBatch.from_rows(schema, [(i,) for i in range(n)])
@@ -509,8 +810,6 @@ class TestHashJoinParity:
         assert counts is None
 
     def test_radix_overflow_is_redensified(self):
-        import numpy as np
-        from repro.exec import operators as ops
         codes = np.array([0, 1, 2, 1], dtype=np.int64)
         wide = [(codes * (2**40 - 1) // 2, 2**40)] * 3
         combined = ops._combine_codes(wide)

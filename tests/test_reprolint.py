@@ -175,7 +175,7 @@ class TestRL008ScrapeClock:
         assert rule_ids(findings) == ["RL008"]
 
     def test_exec_scope_flags_time_calls(self):
-        findings = lint(self.CODE, path="src/repro/exec/expr_eval.py")
+        findings = lint(self.CODE, path="src/repro/exec/compile.py")
         assert rule_ids(findings) == ["RL008", "RL008"]
 
     def test_datetime_factories_flagged_in_exec(self):
@@ -188,7 +188,7 @@ class TestRL008ScrapeClock:
             def short():
                 from datetime import date, datetime
                 return date.today(), datetime.utcnow()
-            """, path="src/repro/exec/expr_eval.py")
+            """, path="src/repro/exec/compile.py")
         assert rule_ids(findings) == ["RL008"] * 4
         assert "EvalContext" in findings[0].message
 
@@ -202,7 +202,7 @@ class TestRL008ScrapeClock:
                 return EPOCH + datetime.timedelta(days=days)
             def other(obj):
                 return obj.clock.now()
-            """, path="src/repro/exec/expr_eval.py") == []
+            """, path="src/repro/exec/compile.py") == []
 
     def test_datetime_factories_flagged_in_obs(self):
         findings = lint("""
