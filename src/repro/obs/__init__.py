@@ -12,7 +12,9 @@ fragments into one layer:
 * :class:`QueryTrace` — per-query span trees covering
   parse → analyze → optimize → admission → DAG vertices → scans, with
   both wall-clock and virtual-time durations,
-* :class:`QueryLog` — a ring buffer behind ``sys.query_log``,
+* :class:`StatementRecord` — the one record of a finished statement,
+  and :class:`RingLog`, the ring buffer behind ``sys.query_log`` and
+  ``sys.audit_log``,
 * :class:`SysTableHandler` — SQL-queryable system tables
   (``sys.query_log``, ``sys.cache_stats``, ``sys.compactions``,
   ``sys.pools``, ``sys.metrics``) served straight from server state,
@@ -25,7 +27,7 @@ from here, so code written against the fragments keeps working.
 
 from .live import LiveQuery, LiveQueryRegistry
 from .profile import ExecutionProfile
-from .query_log import QueryLog, QueryLogEntry
+from .query_log import RingLog, StatementRecord
 from .registry import (METRIC_HELP, Counter, Gauge, Histogram,
                        MetricsRegistry)
 from .service import Observability
@@ -35,12 +37,12 @@ from .tracing import QueryTrace, Span
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "METRIC_HELP",
     "QueryTrace", "Span", "ExecutionProfile",
-    "QueryLog", "QueryLogEntry", "Observability",
+    "RingLog", "StatementRecord", "Observability",
     "TimeseriesStore", "Sample", "LiveQuery", "LiveQueryRegistry",
     "ClusterMonitor", "MonitorHttpServer", "render_prometheus",
     "parse_prometheus_text",
     "SysTableHandler", "render_explain_analyze",
-    "HookContext", "HookRegistry", "AuditLog", "AuditRecord",
+    "HookRegistry",
     "LineageGraph", "LineageEdge", "extract_lineage", "render_lineage",
     # adapted legacy stats objects (lazy re-exports)
     "CacheStats", "ResultsCacheStats", "QueryMetrics", "VertexMetrics",
@@ -62,10 +64,7 @@ _LAZY = {
                               "parse_prometheus_text"),
     "render_explain_analyze": ("repro.obs.explain_analyze",
                                "render_explain_analyze"),
-    "HookContext": ("repro.obs.hooks", "HookContext"),
     "HookRegistry": ("repro.obs.hooks", "HookRegistry"),
-    "AuditLog": ("repro.obs.audit", "AuditLog"),
-    "AuditRecord": ("repro.obs.audit", "AuditRecord"),
     "LineageGraph": ("repro.obs.lineage", "LineageGraph"),
     "LineageEdge": ("repro.obs.lineage", "LineageEdge"),
     "extract_lineage": ("repro.obs.lineage", "extract_lineage"),

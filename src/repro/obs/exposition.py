@@ -119,9 +119,8 @@ def render_ui(obs) -> dict:
                   for f in obs.faults.events()[-20:]]
     audit = [{"query_id": r.query_id, "tenant": r.tenant,
               "operation": r.operation, "status": r.status,
-              "inputs": list(r.input_tables),
-              "outputs": list(r.output_tables),
-              "rows_returned": r.rows_returned, "at_s": r.at_s}
+              "inputs": r.inputs(), "outputs": r.outputs(),
+              "rows_returned": r.rows_produced, "at_s": r.at_s}
              for r in obs.audit_log.entries()[-20:]]
     lineage = [{"fingerprint": r.fingerprint,
                 "dst_table": r.dst_table,

@@ -6,9 +6,11 @@ Apache Atlas consumes them for lineage and Apache Ranger for audit
 same shape: a :class:`HookRegistry` holding named hooks fired at three
 phases — ``pre_exec`` (after parse/fingerprint, before execution),
 ``post_exec`` (statement succeeded) and ``on_failure`` (statement
-errored, was killed, or was denied) — from the single
-``Session.execute`` choke point, each receiving a :class:`HookContext`
-with the resolved inputs/outputs of the statement.
+errored, was killed, or was denied) — each receiving the statement's
+:class:`~repro.obs.query_log.StatementRecord` with its resolved
+inputs/outputs.  ``Session.execute`` fires ``pre_exec``; the terminal
+phase of *every* statement, whichever producer built its record, is
+fired by ``Observability.record_query``.
 
 Isolation contract: a hook can never change a statement's result or
 status.  Exceptions are caught, logged and counted (``hooks.errors``);
@@ -18,10 +20,11 @@ budget is quarantined (skipped for subsequent statements, counted in
 first over-budget run still blocks for its duration, a documented blind
 spot of the inline model (see DESIGN.md).
 
-The built-in lineage / audit / provenance hooks are ordinary
-registrations made by :func:`register_builtin_hooks`; user hooks go
-through ``HiveServer2.register_hook`` (reprolint RL013 flags hook
-registrations anywhere else).
+Every per-statement sink — query log, query store, ``queries.*``
+metrics, lineage, provenance, audit — is an ordinary registration made
+by :func:`register_builtin_hooks`; user hooks go through
+``HiveServer2.register_hook`` (reprolint RL013 flags hook registrations
+anywhere else).
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import logging
 import time
 
 from ..common import sync
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
+
+from .query_log import StatementRecord
 
 logger = logging.getLogger("repro.obs.hooks")
 
@@ -40,60 +45,6 @@ PRE_EXEC = "pre_exec"
 POST_EXEC = "post_exec"
 ON_FAILURE = "on_failure"
 PHASES = (PRE_EXEC, POST_EXEC, ON_FAILURE)
-
-
-@dataclass
-class HookContext:
-    """Everything a hook may observe about one statement.
-
-    Built by ``Session.execute``; enriched during compilation (optimized
-    plan, resolved inputs) and execution (rows, latency).  Mutating it
-    from a hook affects later hooks in the same statement but never the
-    statement itself.
-    """
-
-    query_id: int
-    sql: str = ""
-    fingerprint: str = ""
-    tenant: str = "anonymous"
-    session: str = ""
-    database: str = "default"
-    application: Optional[str] = None
-    operation: str = ""
-    status: str = "ok"                 # ok | error | killed | denied
-    error: str = ""
-    #: the OptimizedPlan of the (last) SELECT compiled for this
-    #: statement — None for pure DDL
-    optimized: object = None
-    input_tables: set = field(default_factory=set)
-    output_tables: set = field(default_factory=set)
-    #: table -> set of column names actually read (post column pruning)
-    input_columns: dict = field(default_factory=dict)
-    rows_produced: int = 0
-    rows_affected: int = 0
-    admission_wait_s: float = 0.0
-    total_s: float = 0.0               # virtual seconds, end to end
-    started_s: float = 0.0             # session virtual clock at start
-    wall_ms: float = 0.0
-
-    def add_input(self, table: str, columns=()) -> None:
-        self.input_tables.add(table)
-        self.input_columns.setdefault(table, set()).update(columns)
-
-    def add_output(self, table: str) -> None:
-        self.output_tables.add(table)
-
-    def inputs(self) -> list[str]:
-        return sorted(self.input_tables)
-
-    def outputs(self) -> list[str]:
-        return sorted(self.output_tables)
-
-    def column_refs(self) -> list[str]:
-        """Sorted ``table.column`` strings over every input column."""
-        return sorted(f"{table}.{column}"
-                      for table, columns in self.input_columns.items()
-                      for column in columns)
 
 
 @dataclass
@@ -121,7 +72,7 @@ class HookRegistry:
                  builtin: bool = False) -> HookEntry:
         """Add (or replace, by name) a hook.
 
-        ``fn`` is called as ``fn(phase, ctx)``.  Re-registering a
+        ``fn`` is called as ``fn(phase, record)``.  Re-registering a
         quarantined name re-enables it.
         """
         entry = HookEntry(name=name, fn=fn,
@@ -145,7 +96,7 @@ class HookRegistry:
         with self._lock:
             self.timeout_s = float(timeout_s)
 
-    def fire(self, phase: str, ctx: HookContext) -> None:
+    def fire(self, phase: str, record: StatementRecord) -> None:
         """Run every enabled hook registered for ``phase``.
 
         Never raises: hook exceptions and timeouts are absorbed here so
@@ -160,7 +111,7 @@ class HookRegistry:
                 continue
             started = time.perf_counter()
             try:
-                entry.fn(phase, ctx)
+                entry.fn(phase, record)
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 logger.warning("hook %s failed in %s: %s",
                                entry.name, phase, exc)
@@ -185,7 +136,7 @@ class HookRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# built-in hooks (Atlas/Ranger equivalents)
+# built-in hooks: the per-statement sinks (incl. Atlas/Ranger equivalents)
 
 #: operation → provenance kind for table→table edges
 _PROVENANCE_KINDS = {
@@ -198,40 +149,36 @@ _PROVENANCE_KINDS = {
 }
 
 
-def make_audit_hook(audit_log) -> Callable:
-    """Ranger-style hook: one AuditRecord per finished statement."""
-    from .audit import AuditRecord
+def make_metrics_hook(registry) -> Callable:
+    """The ``queries.*`` / ``query.latency_s`` series."""
 
-    def audit_hook(phase: str, ctx: HookContext) -> None:
-        record = AuditRecord(
-            query_id=ctx.query_id, tenant=ctx.tenant,
-            session=ctx.session, database=ctx.database,
-            application=ctx.application, statement=ctx.sql,
-            operation=ctx.operation, status=ctx.status, error=ctx.error,
-            input_tables=ctx.inputs(), output_tables=ctx.outputs(),
-            columns=ctx.column_refs(), rows_returned=ctx.rows_produced,
-            rows_affected=ctx.rows_affected,
-            admission_wait_s=ctx.admission_wait_s, total_s=ctx.total_s,
-            at_s=ctx.started_s + ctx.total_s,
-            fingerprint=ctx.fingerprint)
-        audit_log.append(record)
+    def metrics_hook(phase: str, record: StatementRecord) -> None:
+        registry.counter("queries.total",
+                         operation=record.operation or "unknown",
+                         status=record.status).inc()
+        if record.status == "ok" and not record.from_cache:
+            registry.histogram(
+                "query.latency_s",
+                pool=record.pool or "unmanaged").observe(record.total_s)
+        if record.from_cache:
+            registry.counter("queries.results_cache_hits").inc()
 
-    return audit_hook
+    return metrics_hook
 
 
 def make_lineage_hook(graph) -> Callable:
     """Atlas-style hook: column-level edges into the lineage graph."""
     from .lineage import extract_lineage
 
-    def lineage_hook(phase: str, ctx: HookContext) -> None:
-        if not graph.enabled or ctx.optimized is None:
+    def lineage_hook(phase: str, record: StatementRecord) -> None:
+        if not graph.enabled or record.optimized is None:
             return
-        edges = extract_lineage(ctx.optimized.root)
-        dst = ctx.outputs()
-        graph.record(fingerprint=ctx.fingerprint, statement=ctx.sql,
-                     query_id=ctx.query_id,
-                     at_s=ctx.started_s + ctx.total_s, edges=edges,
-                     dst_table=dst[0] if dst else "")
+        edges = extract_lineage(record.optimized.root)
+        dst = record.outputs()
+        graph.record(fingerprint=record.fingerprint,
+                     statement=record.statement,
+                     query_id=record.query_id, at_s=record.at_s,
+                     edges=edges, dst_table=dst[0] if dst else "")
 
     return lineage_hook
 
@@ -241,29 +188,38 @@ def make_provenance_hook(hms) -> Callable:
     CTAS / INSERT / MV statements (survives rename, tombstoned on
     drop — see HiveMetastore.record_provenance)."""
 
-    def provenance_hook(phase: str, ctx: HookContext) -> None:
-        kind = _PROVENANCE_KINDS.get(ctx.operation)
-        if kind is None or not ctx.output_tables:
+    def provenance_hook(phase: str, record: StatementRecord) -> None:
+        kind = _PROVENANCE_KINDS.get(record.operation)
+        if kind is None or not record.output_tables:
             return
-        at_s = ctx.started_s + ctx.total_s
-        for dst in ctx.outputs():
-            for src in ctx.inputs():
+        for dst in record.outputs():
+            for src in record.inputs():
                 if src != dst:
-                    hms.record_provenance(dst, src, kind, at_s)
+                    hms.record_provenance(dst, src, kind, record.at_s)
 
     return provenance_hook
 
 
 def register_builtin_hooks(registry: HookRegistry, obs, hms) -> None:
-    """Install the lineage / audit / provenance hooks on a server.
+    """Install every per-statement sink of a server, in the order the
+    sys tables are documented to agree in: the log rows exist before the
+    aggregates and the ecosystem hooks (Atlas lineage, Ranger audit) see
+    the statement, and user hooks come after all of them.
 
     These are ordinary registrations — the statement pipeline has no
-    special-cased knowledge of them, so dropping ``unregister("audit")``
-    genuinely turns auditing off.
+    special-cased knowledge of them, so ``unregister("audit")``
+    genuinely turns auditing off, and a sink that raises or stalls is
+    isolated exactly like a user hook.
     """
-    registry.register("lineage", make_lineage_hook(obs.lineage_graph),
-                      phases=(POST_EXEC,), builtin=True)
-    registry.register("provenance", make_provenance_hook(hms),
-                      phases=(POST_EXEC,), builtin=True)
-    registry.register("audit", make_audit_hook(obs.audit_log),
-                      phases=(POST_EXEC, ON_FAILURE), builtin=True)
+    ended = (POST_EXEC, ON_FAILURE)
+    for name, fn, phases in (
+            ("query_log", lambda _, record: obs.query_log.append(record),
+             ended),
+            ("query_store",
+             lambda _, record: obs.query_store.record(record), ended),
+            ("metrics", make_metrics_hook(obs.registry), ended),
+            ("lineage", make_lineage_hook(obs.lineage_graph), (POST_EXEC,)),
+            ("provenance", make_provenance_hook(hms), (POST_EXEC,)),
+            ("audit", lambda _, record: obs.audit_log.append(record),
+             ended)):
+        registry.register(name, fn, phases=phases, builtin=True)

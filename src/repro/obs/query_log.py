@@ -1,17 +1,23 @@
-"""Query log: the ring buffer behind ``sys.query_log``.
+"""One record per statement, and the rings that hold it.
 
-One entry per statement executed through a session — successes and
-failures alike — with the full virtual-time latency breakdown the
-paper's evaluation methodology requires (per-query accounting, BigBench
-style).
+:class:`StatementRecord` is everything the server knows about one
+finished statement — executed, killed in the admission queue or denied
+alike.  ``Session.execute`` (and the two serving-layer producers of
+statements that never reach it) build one and hand it to
+``Observability.record_query``; every sink — query log, query store,
+``queries.*`` metrics, lineage, provenance, audit, user hooks — is a
+hook that receives the same object (see :mod:`repro.obs.hooks`).
+``sys.query_log`` and ``sys.audit_log`` are two projections of it, with
+the full virtual-time latency breakdown the paper's evaluation
+methodology requires (per-query accounting, BigBench style).
 
-Retention: the in-memory ring is bounded (``hive.obs.query.log.capacity``)
-but evicted entries are not lost — they spill to a
-:class:`SpillStore` (optionally file-persisted as JSON lines), so
-``sys.query_log`` still covers long workloads.  The ring and the store
-are generic in the record type; the audit log is the other user.
-Entries also carry the per-vertex and per-operator profile rows that
-back ``sys.vertex_log`` and ``sys.operator_log``.
+Retention: both logs are :class:`RingLog`s — a bounded in-memory ring
+(``hive.obs.query.log.capacity`` / ``hive.audit.capacity``) whose
+evicted records are not lost: they spill to a :class:`SpillStore`
+(optionally file-persisted as JSON lines), so the sys tables still
+cover long workloads.  Records also carry the per-vertex and
+per-operator profile rows that back ``sys.vertex_log`` and
+``sys.operator_log``.
 """
 
 from __future__ import annotations
@@ -24,20 +30,38 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
-@dataclass
-class QueryLogEntry:
+# slots: 36 attributes is past CPython's 30-key limit for key-sharing
+# instance dicts, and the rings retain thousands of these
+@dataclass(slots=True)
+class StatementRecord:
+    """What hooks observe about one statement.
+
+    Built when the statement starts; enriched during compilation
+    (optimized plan, resolved inputs) and at completion (rows, latency).
+    Mutating it from a hook affects later hooks in the same statement
+    but never the statement itself.
+    """
+
+    # -- identity
     query_id: int
-    statement: str
+    statement: str = ""
+    tenant: str = "anonymous"
+    session: str = ""
     database: str = "default"
     application: Optional[str] = None
     operation: str = ""
-    status: str = "ok"                 # ok | error
+    #: query-store identity; joins both logs to sys.query_store
+    fingerprint: str = ""
+    # -- outcome
+    status: str = "ok"                 # ok | error | killed | denied
     error: str = ""
     pool: str = ""
     from_cache: bool = False
     reexecuted: bool = False
     rows_produced: int = 0
     rows_affected: int = 0
+    # -- time (virtual seconds unless named otherwise)
+    admission_wait_s: float = 0.0
     started_s: float = 0.0             # session virtual clock at start
     total_s: float = 0.0
     queue_s: float = 0.0
@@ -51,14 +75,42 @@ class QueryLogEntry:
     cache_bytes: int = 0
     cache_hit_fraction: float = 0.0
     wall_ms: float = 0.0
-    #: query-store identity; joins sys.query_log to sys.query_store
-    fingerprint: str = ""
+    # -- plan: the hash is retained; the EXPLAIN text and the
+    # OptimizedPlan of the (last) SELECT compiled for this statement
+    # are for the sinks only — record_query drops them afterwards
+    plan_hash: str = ""
+    plan_explain: str = ""
+    optimized: object = None
+    # -- resolution
+    #: table -> set of column names actually read (post column pruning)
+    input_columns: dict = field(default_factory=dict)
+    output_tables: set = field(default_factory=set)
     #: ``sys.vertex_log`` rows for this query (VertexMetrics.as_row)
     vertices: list = field(default_factory=list)
     #: ``sys.operator_log`` rows for this query (OperatorProfile.as_row)
     operators: list = field(default_factory=list)
 
-    def as_row(self) -> tuple:
+    @property
+    def at_s(self) -> float:
+        """Session virtual clock when the statement finished."""
+        return self.started_s + self.total_s
+
+    def add_input(self, table: str, columns=()) -> None:
+        self.input_columns.setdefault(table, set()).update(columns)
+
+    def inputs(self) -> list[str]:
+        return sorted(self.input_columns)
+
+    def outputs(self) -> list[str]:
+        return sorted(self.output_tables)
+
+    def column_refs(self) -> list[str]:
+        """Sorted ``table.column`` strings over every input column."""
+        return sorted(f"{table}.{column}"
+                      for table, columns in self.input_columns.items()
+                      for column in columns)
+
+    def as_query_log_row(self) -> tuple:
         """Row shape of ``sys.query_log`` (see obs.systables)."""
         return (self.query_id, self.statement, self.database,
                 self.application, self.operation, self.status,
@@ -69,17 +121,36 @@ class QueryLogEntry:
                 self.external_s, self.disk_bytes, self.cache_bytes,
                 self.cache_hit_fraction, self.wall_ms, self.fingerprint)
 
+    def as_audit_row(self) -> tuple:
+        """Row shape of ``sys.audit_log`` (see obs.systables)."""
+        return (self.query_id, self.tenant, self.session, self.database,
+                self.application, self.statement, self.operation,
+                self.status, self.error, ",".join(self.inputs()),
+                ",".join(self.outputs()), ",".join(self.column_refs()),
+                self.rows_produced, self.rows_affected,
+                self.admission_wait_s, self.total_s, self.at_s,
+                self.fingerprint)
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The JSONL form of both spill files (the plan is not kept)."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "optimized"}
+        data["input_columns"] = {table: sorted(columns) for table, columns
+                                 in self.input_columns.items()}
+        data["output_tables"] = self.outputs()
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QueryLogEntry":
+    def from_dict(cls, data: dict) -> "StatementRecord":
         known = {f.name for f in fields(cls)}
-        entry = cls(**{k: v for k, v in data.items() if k in known})
-        # JSON round-trips tuples as lists; restore the row shapes
-        entry.vertices = [tuple(row) for row in entry.vertices]
-        entry.operators = [tuple(row) for row in entry.operators]
-        return entry
+        record = cls(**{k: v for k, v in data.items() if k in known})
+        # JSON round-trips sets and tuples as lists; restore the shapes
+        record.input_columns = {table: set(columns) for table, columns
+                                in record.input_columns.items()}
+        record.output_tables = set(record.output_tables)
+        record.vertices = [tuple(row) for row in record.vertices]
+        record.operators = [tuple(row) for row in record.operators]
+        return record
 
 
 class SpillStore:
@@ -88,12 +159,10 @@ class SpillStore:
     With a ``path`` the store persists records as append-only JSON lines
     (one file per server, survives the process); without one it keeps
     them in memory, which still makes the ``sys`` table complete for
-    long in-process workloads.  ``record_type`` supplies the
-    ``to_dict`` / ``from_dict`` pair of the JSONL form.
+    long in-process workloads.
     """
 
-    def __init__(self, record_type: type, path: Optional[str] = None):
-        self.record_type = record_type
+    def __init__(self, path: Optional[str] = None):
         self.path = path
         self._lock = sync.new_lock('SpillStore._lock')
         self._memory: list = []
@@ -115,7 +184,7 @@ class SpillStore:
                 return list(self._memory)
             try:
                 with open(self.path, encoding="utf-8") as source:
-                    return [self.record_type.from_dict(json.loads(line))
+                    return [StatementRecord.from_dict(json.loads(line))
                             for line in source if line.strip()]
             except FileNotFoundError:
                 return []
@@ -130,14 +199,11 @@ class SpillStore:
 
 
 class RingLog:
-    """Bounded, thread-safe, append-only log of ``record_type`` records.
+    """Bounded, thread-safe, append-only log of statement records.
 
     The newest ``capacity`` records stay in the ring; older ones move to
-    the overflow store on eviction instead of vanishing.  Subclasses
-    name the record type (:class:`QueryLog`, ``repro.obs.audit.AuditLog``).
+    the overflow store on eviction instead of vanishing.
     """
-
-    record_type: type
 
     def __init__(self, capacity: int = 1000,
                  overflow_path: Optional[str] = None):
@@ -146,7 +212,7 @@ class RingLog:
         self._entries: deque = deque()
         #: records ever appended (ring + spilled)
         self.recorded = 0
-        self.overflow = SpillStore(self.record_type, overflow_path)
+        self.overflow = SpillStore(overflow_path)
 
     @property
     def capacity(self) -> int:
@@ -197,8 +263,3 @@ class RingLog:
         # overflow synchronizes itself; don't nest its lock under ours
         self.overflow.clear()  # reprolint: disable=RL001
 
-
-class QueryLog(RingLog):
-    """The statements executed through any session of one server."""
-
-    record_type = QueryLogEntry

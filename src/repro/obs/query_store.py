@@ -238,14 +238,16 @@ class QueryStore:
         return base_p95, cur_p95, cur_p95 / base_p95
 
     # -- recording ------------------------------------------------------ #
-    def record(self, entry, *, fingerprint: str, plan_hash: str = "",
-               plan_explain: str = "", now_s: float = 0.0) -> None:
-        """Aggregate one finished statement (a QueryLogEntry).
+    def record(self, entry) -> None:
+        """Aggregate one finished statement (a StatementRecord).
 
-        Called exactly once per ``Session.execute`` — internal task
-        retries and plan re-executions already happened inside the
-        entry, so they can never double-count an execution.
+        Reached exactly once per statement, as the ``query_store`` hook
+        sink — internal task retries and plan re-executions already
+        happened inside the entry, so they can never double-count an
+        execution.  A statement without a fingerprint never reached the
+        driver (killed in the queue, denied) and is skipped.
         """
+        fingerprint, now_s = entry.fingerprint, entry.at_s
         if not fingerprint:
             return
         with self._lock:
@@ -270,8 +272,7 @@ class QueryStore:
                 stats.retries += 1
             if entry.from_cache:
                 stats.results_cache_hits += 1
-            self._record_plan(stats, entry, plan_hash, plan_explain,
-                              now_s)
+            self._record_plan(stats, entry, now_s)
             # latency windows track real executions only: a results-
             # cache fetch (constant virtual cost) or a failed statement
             # would poison the distribution either way
@@ -289,9 +290,9 @@ class QueryStore:
                     del stats.current[0]
                 self._check_regression(stats, now_s)
 
-    def _record_plan(self, stats, entry, plan_hash: str,
-                     plan_explain: str, now_s: float) -> None:
+    def _record_plan(self, stats, entry, now_s: float) -> None:
         # caller holds self._lock
+        plan_hash, plan_explain = entry.plan_hash, entry.plan_explain
         if not plan_hash:
             return
         plan = stats.plans.get(plan_hash)

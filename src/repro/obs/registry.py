@@ -36,7 +36,9 @@ DEFAULT_BUCKETS = tuple(0.001 * (4 ** i) for i in range(11))
 #: ``sys.metrics`` and the Prometheus ``/metrics`` exposition render
 #: these as HELP lines.
 METRIC_HELP: dict[str, str] = {
-    "queries.total": "statements executed, by operation and status",
+    "queries.total":
+        "statements ended (executed, killed in the queue or denied), "
+        "by operation and status",
     "queries.results_cache_hits":
         "statements answered from the query results cache",
     "query.latency_s":
@@ -359,9 +361,12 @@ class MetricsRegistry:
         key = _label_key(labels)
         with self._lock:
             fn = self._callbacks.get(name, {}).get(key)
-            if fn is not None:
-                return float(fn())
             metric = self._series.get(name, {}).get(key)
+        # callbacks run outside the lock, as in snapshot(): they take
+        # their owner's lock (qstore.* -> QueryStore._lock), and owners
+        # reach the registry while holding it
+        if fn is not None:
+            return float(fn())
         if metric is None:
             return None
         if isinstance(metric, Histogram):
@@ -393,10 +398,10 @@ class MetricsRegistry:
                     total += (metric.count
                               if isinstance(metric, Histogram)
                               else metric.value)
-            for key, fn in self._callbacks.get(name, {}).items():
-                if wanted <= set(key):
-                    total += float(fn())
-        return total
+            callbacks = [fn for key, fn
+                         in self._callbacks.get(name, {}).items()
+                         if wanted <= set(key)]
+        return total + sum(float(fn()) for fn in callbacks)
 
     def names(self) -> list[str]:
         with self._lock:

@@ -7,7 +7,9 @@ registry, tracer and query log to the rest of the warehouse:
   ``QueryResultsCache.stats``) are *absorbed* as callback gauges — the
   fragments keep their types and call sites, the registry mirrors them,
 * each ``Session.execute`` opens a :class:`~repro.obs.tracing.QueryTrace`
-  and lands a :class:`~repro.obs.query_log.QueryLogEntry` here,
+  here, and every finished statement's
+  :class:`~repro.obs.query_log.StatementRecord` ends in
+  :meth:`Observability.record_query`, which hands it to the hook sinks,
 * the ``sys`` virtual catalog is served from this facade's references,
 * :meth:`snapshot` / :meth:`to_json` export everything for the bench
   harness (``BENCH_obs.json``).
@@ -25,12 +27,11 @@ from typing import Optional
 
 from ..config import HiveConf
 from ..llap.workload import WmEventLog
-from .audit import AuditLog
 from .cluster import ClusterMonitor
-from .hooks import HookRegistry
+from .hooks import ON_FAILURE, POST_EXEC, HookRegistry
 from .lineage import LineageGraph
 from .live import LiveQueryRegistry
-from .query_log import QueryLog, QueryLogEntry
+from .query_log import RingLog, StatementRecord
 from .query_store import QueryStore
 from .registry import MetricsRegistry
 from .timeseries import TimeseriesStore
@@ -47,11 +48,11 @@ class Observability:
         conf = conf or HiveConf()
         # the server registry refuses undocumented metric names
         self.registry = MetricsRegistry(require_help=True)
-        self.query_log = QueryLog(conf.obs_query_log_capacity,
-                                  overflow_path)
+        self.query_log = RingLog(conf.obs_query_log_capacity,
+                                 overflow_path)
         self.query_store = QueryStore()
         self.query_store.configure(conf)
-        self.audit_log = AuditLog(conf.audit_capacity, audit_overflow_path)
+        self.audit_log = RingLog(conf.audit_capacity, audit_overflow_path)
         self.lineage_graph = LineageGraph(
             capacity=conf.lineage_capacity, enabled=conf.lineage_enabled)
         self.hooks = HookRegistry(metrics=self.registry,
@@ -266,24 +267,16 @@ class Observability:
             self.traces.append(trace)
         return trace
 
-    def record_query(self, entry: QueryLogEntry, *,
-                     plan_hash: str = "",
-                     plan_explain: str = "") -> None:
-        # QueryLog carries its own lock; appends are synchronized there
-        self.query_log.append(entry)  # reprolint: disable=RL001
-        self.query_store.record(
-            entry, fingerprint=entry.fingerprint, plan_hash=plan_hash,
-            plan_explain=plan_explain,
-            now_s=entry.started_s + entry.total_s)
-        labels = {"operation": entry.operation or "unknown",
-                  "status": entry.status}
-        self.registry.counter("queries.total", **labels).inc()
-        if entry.status == "ok" and not entry.from_cache:
-            self.registry.histogram(
-                "query.latency_s",
-                pool=entry.pool or "unmanaged").observe(entry.total_s)
-        if entry.from_cache:
-            self.registry.counter("queries.results_cache_hits").inc()
+    def record_query(self, record: StatementRecord) -> None:
+        """A statement is over — executed, killed in the queue or denied:
+        fire its terminal hook phase.  Every sink is a hook (see
+        ``register_builtin_hooks``); nothing else is written here."""
+        self.hooks.fire(
+            POST_EXEC if record.status == "ok" else ON_FAILURE, record)
+        # the rings (and their in-memory spill) retain the record; the
+        # plan was for the sinks only and must not stay alive with it
+        record.optimized = None
+        record.plan_explain = ""
 
     # -- export --------------------------------------------------------- #
     def snapshot(self) -> dict:

@@ -9,7 +9,8 @@ them: ``SELECT status, COUNT(*) FROM sys.query_log GROUP BY status``.
 
 Tables:
 
-* ``sys.query_log``    — one row per executed statement (latency breakdown),
+* ``sys.query_log``    — one row per statement (latency breakdown), for
+  the same statements ``sys.audit_log`` has,
 * ``sys.vertex_log``   — one row per DAG vertex per query (task
   distribution, skew factor, straggler flag); joins ``sys.query_log``
   on ``query_id``,
@@ -298,7 +299,8 @@ class SysTableHandler(StorageHandler):
     def _rows_query_log(self) -> list[tuple]:
         # all_entries: ring + spilled overflow, so long workloads stay
         # fully queryable (retention, not truncation)
-        return [e.as_row() for e in self.obs.query_log.all_entries()]
+        return [e.as_query_log_row()
+                for e in self.obs.query_log.all_entries()]
 
     def _rows_vertex_log(self) -> list[tuple]:
         return [tuple(row) for e in self.obs.query_log.all_entries()
@@ -396,7 +398,7 @@ class SysTableHandler(StorageHandler):
 
     def _rows_audit_log(self) -> list[tuple]:
         # ring + spilled overflow, like sys.query_log
-        return [r.as_row() for r in self.obs.audit_log.all_entries()]
+        return [r.as_audit_row() for r in self.obs.audit_log.all_entries()]
 
     def _rows_lineage_edges(self) -> list[tuple]:
         rows: list[tuple] = []

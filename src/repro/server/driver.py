@@ -39,10 +39,9 @@ from ..metastore.txn import (AcidHouseKeeper, DeltaWriteIdList,
                              ValidWriteIdList)
 from ..obs import Observability
 from ..obs import fingerprint as fingerprints
-from ..obs.hooks import (HookContext, ON_FAILURE, PHASES, POST_EXEC,
-                         PRE_EXEC, register_builtin_hooks)
+from ..obs.hooks import PHASES, PRE_EXEC, register_builtin_hooks
 from ..obs.profile import ExecutionProfile
-from ..obs.query_log import QueryLogEntry
+from ..obs.query_log import StatementRecord
 from ..optimizer import OptimizedPlan, Optimizer
 from ..optimizer.mv_rewrite import (ViewDefinition, build_view_definition,
                                     extract_spja)
@@ -128,7 +127,7 @@ class HiveServer2:
         # absorb the pre-existing stats fragments into the registry
         self.obs.bind_server(self.hms, self.workload_manager)
         self.obs.bind_faults(self.faults)
-        # Atlas/Ranger-style built-ins are ordinary hook registrations
+        # every per-statement sink is an ordinary hook registration
         register_builtin_hooks(self.obs.hooks, self.obs, self.hms)
         self.obs.bind_cache(
             "llap", self.llap_cache.stats,
@@ -195,8 +194,8 @@ class HiveServer2:
     def register_hook(self, name: str, fn, phases=PHASES):
         """Install a user execution hook (Section 6 ecosystem point).
 
-        ``fn`` is called as ``fn(phase, ctx)`` with a
-        :class:`repro.obs.hooks.HookContext`; errors and over-budget
+        ``fn`` is called as ``fn(phase, record)`` with the statement's
+        :class:`repro.obs.query_log.StatementRecord`; errors and over-budget
         runtimes are isolated by the registry and can never change a
         statement's result.  This is the sanctioned registration path
         (reprolint RL013 flags registrations made anywhere else).
@@ -276,10 +275,8 @@ class Session:
         # time; a bare connect() runs as the anonymous tenant
         self.tenant = "anonymous"
         self.session_name = ""
-        #: admission wait attributed to the NEXT statement (set by the
-        #: serving layer after the queued phase, consumed by execute)
-        self.pending_admission_wait_s = 0.0
-        self._hook_ctx: Optional[HookContext] = None
+        #: StatementRecord of the statement in flight
+        self._record: Optional[StatementRecord] = None
         # multi-statement transaction state (§9 roadmap)
         self._active_txn: Optional[int] = None
         self._txn_snapshot = None
@@ -287,114 +284,114 @@ class Session:
         self._txn_tables: set[str] = set()
 
     # ------------------------------------------------------------------ #
-    def execute(self, sql: str,
-                query_id: Optional[int] = None) -> QueryResult:
+    def execute(self, sql: str, query_id: Optional[int] = None,
+                admission_wait_s: float = 0.0) -> QueryResult:
         """Execute one SQL statement and return its result.
 
         ``query_id`` lets the serving layer reuse the id it allocated
         at submit time (the operation handle), so the queued phase,
-        kill flags and the final log entry all share one id.
+        kill flags and the statement record all share one id;
+        ``admission_wait_s`` is the queue wait it charged beforehand.
         """
         obs = self.server.obs
         if "sys." in sql.lower():
             obs.ensure_sys_tables(self.hms)
         trace = obs.start_trace(sql, query_id=query_id)
         self._trace = trace
-        started_s = self.now_s
-        operation = ""
-        fingerprint = ""
         trace.root.attrs["tenant"] = self.tenant
-        ctx = HookContext(
-            query_id=trace.query_id, sql=sql, tenant=self.tenant,
+        record = StatementRecord(
+            query_id=trace.query_id, statement=sql, tenant=self.tenant,
             session=self.session_name, database=self.database,
-            application=self.application, started_s=started_s,
-            admission_wait_s=self.pending_admission_wait_s)
-        self.pending_admission_wait_s = 0.0
-        self._hook_ctx = ctx
+            application=self.application, started_s=self.now_s,
+            admission_wait_s=admission_wait_s)
+        self._record = record
         obs.live_queries.register(
             trace.query_id, sql, database=self.database,
-            application=self.application, started_s=started_s)
+            application=self.application, started_s=self.now_s)
+        result = None
         try:
             self._tick_txn_clock()
             # byte-identical repeat of a cached select: skip even parse
             cached_plan = self._cached_plan_for(sql)
             if cached_plan is not None:
-                operation = "select"
-                # fingerprint from the unparsed canonical — the same
-                # identity space the parse path below uses
-                fingerprint = obs.query_store.fingerprint_of(
-                    cached_plan.canonical)
-                obs.query_store.register_live(trace.query_id,
-                                              fingerprint)
-                ctx.operation = operation
-                ctx.fingerprint = fingerprint
-                obs.hooks.fire(PRE_EXEC, ctx)
-                result = self._run_cached_plan(cached_plan)
+                record.operation = "select"
+                canonical = cached_plan.canonical
             else:
                 with trace.span("parse"):
                     statement = parse_statement(sql, self.conf)
-                operation = _operation_of(statement)
-                # visible to WM regression(...) triggers while running
-                fingerprint = obs.query_store.fingerprint_of(
-                    statement.unparse())
-                obs.query_store.register_live(trace.query_id,
-                                              fingerprint)
-                ctx.operation = operation
-                ctx.fingerprint = fingerprint
-                obs.hooks.fire(PRE_EXEC, ctx)
-                result = self._dispatch(statement)
-                result.operation = operation
-        except Exception as error:
-            status = ("killed" if isinstance(error, QueryKilledError)
-                      else "error")
-            obs.live_queries.finish(trace.query_id, status=status)
-            trace.finish(error=str(error))
-            if not fingerprint:
+                record.operation = _operation_of(statement)
+                canonical = statement.unparse()
+            # one identity space whichever way the text was obtained;
+            # visible to WM regression(...) triggers while running
+            record.fingerprint = obs.query_store.fingerprint_of(canonical)
+            obs.query_store.register_live(trace.query_id,
+                                          record.fingerprint)
+            obs.hooks.fire(PRE_EXEC, record)
+            result = (self._run_cached_plan(cached_plan)
+                      if cached_plan is not None
+                      else self._dispatch(statement))
+            result.operation = record.operation
+            return result
+        except BaseException as error:
+            # even an interrupt: the finally below completes the record,
+            # and an aborted statement must not read "ok"
+            record.status = ("killed" if isinstance(error, QueryKilledError)
+                             else "error")
+            record.error = str(error)
+            if not record.fingerprint:
                 # died before (or in) parse: raw-text identity
-                fingerprint = obs.query_store.fingerprint_of(sql)
-            obs.record_query(QueryLogEntry(
-                query_id=trace.query_id, statement=sql,
-                database=self.database, application=self.application,
-                operation=operation, status=status, error=str(error),
-                started_s=started_s,
-                wall_ms=trace.root.wall_s * 1000.0,
-                fingerprint=fingerprint))
-            trace.root.attrs["fingerprint"] = fingerprint
-            ctx.status = status
-            ctx.error = str(error)
-            ctx.operation = operation
-            ctx.fingerprint = fingerprint
-            ctx.wall_ms = trace.root.wall_s * 1000.0
-            obs.hooks.fire(ON_FAILURE, ctx)
+                record.fingerprint = obs.query_store.fingerprint_of(sql)
             raise
         finally:
-            self._trace = None
-            self._hook_ctx = None
-            obs.query_store.forget_live(trace.query_id)
-        if result.metrics is not None:
-            self.now_s += result.metrics.total_s
-        obs.live_queries.finish(trace.query_id, status="ok")
-        trace.finish()
-        result.query_id = trace.query_id
-        result.trace = trace
-        entry = self._log_entry(trace, sql, result, started_s)
-        entry.fingerprint = fingerprint
-        plan_explain = fingerprints.plan_text(result.optimized)
-        obs.record_query(
-            entry, plan_hash=fingerprints.hash_plan_text(plan_explain),
-            plan_explain=plan_explain)
-        trace.root.attrs["fingerprint"] = fingerprint
-        ctx.status = "ok"
-        ctx.operation = result.operation
-        ctx.fingerprint = fingerprint
-        ctx.rows_produced = len(result.rows)
-        ctx.rows_affected = result.rows_affected
-        ctx.total_s = result.metrics.total_s if result.metrics else 0.0
-        ctx.wall_ms = trace.root.wall_s * 1000.0
-        if ctx.optimized is None and result.optimized is not None:
-            self._note_plan_inputs(result.optimized, ctx=ctx)
-        obs.hooks.fire(POST_EXEC, ctx)
-        return result
+            self._complete(record, trace, result)
+
+    def _complete(self, record: StatementRecord, trace,
+                  result: Optional[QueryResult]) -> None:
+        """The statement is over, whatever its outcome: copy the result
+        and its metrics into the record, close the live entry and the
+        trace, and hand the record to the one completion path."""
+        obs = self.server.obs
+        self._trace = None
+        self._record = None
+        obs.query_store.forget_live(record.query_id)
+        if result is not None:
+            result.query_id = record.query_id
+            result.trace = trace
+            record.from_cache = result.from_cache
+            record.reexecuted = result.reexecuted
+            record.rows_produced = len(result.rows)
+            record.rows_affected = result.rows_affected
+            record.plan_explain = fingerprints.plan_text(result.optimized)
+            record.plan_hash = fingerprints.hash_plan_text(
+                record.plan_explain)
+            if record.optimized is None:
+                # EXPLAIN compiles outside _compile_and_run
+                self._note_plan_inputs(result.optimized, record)
+            m = result.metrics
+            if m is not None:
+                self.now_s += m.total_s
+                record.pool = m.pool
+                record.total_s = m.total_s
+                record.queue_s = m.queue_s
+                record.compile_s = m.compile_s
+                record.startup_s = m.startup_s
+                record.io_s = m.io_s
+                record.cpu_s = m.cpu_s
+                record.shuffle_s = m.shuffle_s
+                record.external_s = m.external_s
+                record.disk_bytes = m.disk_bytes
+                record.cache_bytes = m.cache_bytes
+                record.cache_hit_fraction = m.cache_hit_fraction
+                record.vertices = [vm.as_row(record.query_id)
+                                   for vm in m.vertices]
+                record.operators = [op.as_row(record.query_id, vm.name)
+                                    for vm in m.vertices
+                                    for op in vm.operators]
+        obs.live_queries.finish(record.query_id, status=record.status)
+        trace.finish(error=None if record.status == "ok" else record.error)
+        record.wall_ms = trace.root.wall_s * 1000.0
+        trace.root.attrs["fingerprint"] = record.fingerprint
+        obs.record_query(record)
 
     def _tick_txn_clock(self) -> None:
         """Per-statement liveness: advance the warehouse virtual clock,
@@ -427,38 +424,6 @@ class Session:
                 f"txn {txn} heartbeat expired and was aborted by the "
                 "housekeeper")
 
-    def _log_entry(self, trace, sql: str, result: QueryResult,
-                   started_s: float) -> QueryLogEntry:
-        entry = QueryLogEntry(
-            query_id=trace.query_id, statement=sql,
-            database=self.database, application=self.application,
-            operation=result.operation, status="ok",
-            from_cache=result.from_cache, reexecuted=result.reexecuted,
-            rows_produced=len(result.rows),
-            rows_affected=result.rows_affected,
-            started_s=started_s,
-            wall_ms=trace.root.wall_s * 1000.0)
-        m = result.metrics
-        if m is not None:
-            entry.pool = m.pool
-            entry.total_s = m.total_s
-            entry.queue_s = m.queue_s
-            entry.compile_s = m.compile_s
-            entry.startup_s = m.startup_s
-            entry.io_s = m.io_s
-            entry.cpu_s = m.cpu_s
-            entry.shuffle_s = m.shuffle_s
-            entry.external_s = m.external_s
-            entry.disk_bytes = m.disk_bytes
-            entry.cache_bytes = m.cache_bytes
-            entry.cache_hit_fraction = m.cache_hit_fraction
-            entry.vertices = [vm.as_row(trace.query_id)
-                              for vm in m.vertices]
-            entry.operators = [op.as_row(trace.query_id, vm.name)
-                               for vm in m.vertices
-                               for op in vm.operators]
-        return entry
-
     def _span(self, name: str, **attrs):
         """A trace span if a trace is open, else a no-op context."""
         if self._trace is not None:
@@ -471,25 +436,25 @@ class Session:
             self.server.obs.live_queries.update(
                 self._trace.query_id, phase=phase)
 
-    def _note_plan_inputs(self, optimized: OptimizedPlan,
-                          ctx: Optional[HookContext] = None) -> None:
+    def _note_plan_inputs(self, optimized: Optional[OptimizedPlan],
+                          record: Optional[StatementRecord] = None) -> None:
         """Resolve the statement's inputs from its optimized plan.
 
         Every scan surviving optimization contributes its table and the
         post-pruning column set; EXPLAIN ANALYZE, the audit log and the
         lineage hook all read this one resolution so they cannot drift.
         """
-        ctx = ctx or self._hook_ctx
-        if ctx is None or optimized is None:
+        record = record or self._record
+        if record is None or optimized is None:
             return
-        ctx.optimized = optimized
+        record.optimized = optimized
         for scan in rel.find_scans(optimized.root):
-            ctx.add_input(scan.table_name, scan.schema.names())
+            record.add_input(scan.table_name, scan.schema.names())
 
     def _note_output(self, table_name: str) -> None:
         """Record a table this statement writes (CTAS/INSERT/MV/...)."""
-        if self._hook_ctx is not None:
-            self._hook_ctx.add_output(table_name)
+        if self._record is not None:
+            self._record.output_tables.add(table_name)
 
     def _dispatch(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
@@ -637,26 +602,9 @@ class Session:
         cacheable = (use_cache and self.conf.results_cache_enabled
                      and self._active_txn is None and not reads_sys
                      and deterministic)
-        entry = None
-        if cacheable:
-            key = f"{self.database}::{query.unparse()}"
-            entry, must_compute = self.server.results_cache.lookup(
-                key, current_wids)
-            if not must_compute:
-                metrics = QueryMetrics(total_s=CACHED_FETCH_S,
-                                       compile_s=CACHED_FETCH_S)
-                return QueryResult(rows=list(entry.rows),
-                                   column_names=list(entry.column_names),
-                                   metrics=metrics, from_cache=True)
-        try:
-            result = self._compile_and_run(plan)
-        except Exception:
-            if entry is not None:
-                self.server.results_cache.abandon(entry)
-            raise
-        if entry is not None:
-            self.server.results_cache.publish(
-                entry, result.rows, result.column_names, current_wids)
+        result = self._through_results_cache(
+            query.unparse() if cacheable else None, current_wids,
+            lambda: self._compile_and_run(plan))
         if (plan_key is not None and not reads_sys
                 and not result.reexecuted
                 and result.optimized is not None
@@ -704,29 +652,38 @@ class Session:
                         for t in cached.tables}
         cacheable = (self.conf.results_cache_enabled
                      and self._active_txn is None and cached.cacheable)
-        entry = None
-        if cacheable:
-            key = f"{self.database}::{cached.canonical}"
-            entry, must_compute = self.server.results_cache.lookup(
-                key, current_wids)
-            if not must_compute:
-                metrics = QueryMetrics(total_s=CACHED_FETCH_S,
-                                       compile_s=CACHED_FETCH_S)
-                return QueryResult(rows=list(entry.rows),
-                                   column_names=list(entry.column_names),
-                                   metrics=metrics, from_cache=True,
-                                   plan_cached=True)
-        try:
-            result = self._compile_and_run(cached.analyzed,
-                                           cached=cached)
-        except Exception:
-            if entry is not None:
-                self.server.results_cache.abandon(entry)
-            raise
+        result = self._through_results_cache(
+            cached.canonical if cacheable else None, current_wids,
+            lambda: self._compile_and_run(cached.analyzed, cached=cached))
         result.plan_cached = True
-        if entry is not None:
-            self.server.results_cache.publish(
-                entry, result.rows, result.column_names, current_wids)
+        return result
+
+    def _through_results_cache(self, canonical: Optional[str],
+                               current_wids: dict, compute) -> QueryResult:
+        """Serve ``canonical`` from the results cache, or ``compute()``
+        it and publish; ``None`` marks a query that may not be cached."""
+        if canonical is None:
+            return compute()
+        cache, record = self.server.results_cache, self._record
+        entry, must_compute = cache.lookup(
+            f"{self.database}::{canonical}", current_wids)
+        if not must_compute:
+            # no plan ran, but the rows were read from these tables
+            if record is not None:
+                for table, columns in entry.inputs.items():
+                    record.add_input(table, columns)
+            metrics = QueryMetrics(total_s=CACHED_FETCH_S,
+                                   compile_s=CACHED_FETCH_S)
+            return QueryResult(rows=list(entry.rows),
+                               column_names=list(entry.column_names),
+                               metrics=metrics, from_cache=True)
+        try:
+            result = compute()
+        except Exception:
+            cache.abandon(entry)
+            raise
+        cache.publish(entry, result.rows, result.column_names, current_wids,
+                      record.input_columns if record is not None else None)
         return result
 
     def _compile_and_run(self, plan: rel.RelNode,
@@ -745,15 +702,13 @@ class Session:
             optimized = cached.optimized
             compile_cost = conf.cost.plan_cache_hit_compile_s
         else:
-            optimizer = Optimizer(
-                self.hms, conf, stats_overrides=stats_overrides,
-                view_provider=lambda: self.server.view_definitions(
-                    self.now_s),
-                federation_rule=self.server.federation_rule(),
-                trace=self._trace)
+            optimizer = self._optimizer(conf, stats_overrides)
             self._publish_phase("optimize")
             with self._span("optimize"):
                 optimized = optimizer.optimize(plan)
+        # resolve the statement's inputs (post column pruning) before
+        # the plan runs: a failed or killed statement read them too
+        self._note_plan_inputs(optimized)
         attempts = 0
         reexecuted = False
         while True:
@@ -781,19 +736,12 @@ class Session:
                     # a real recompilation: full compile cost again
                     compile_cost = None
                     runtime_stats = getattr(failure, "runtime_stats", {})
-                    optimizer = Optimizer(
-                        self.hms, conf, stats_overrides=runtime_stats,
-                        view_provider=lambda: self.server.view_definitions(
-                            self.now_s),
-                        federation_rule=self.server.federation_rule(),
-                        trace=self._trace)
                     with self._span("reoptimize"):
-                        optimized = optimizer.optimize(plan)
+                        optimized = self._optimizer(
+                            conf, runtime_stats).optimize(plan)
+                    self._note_plan_inputs(optimized)
         if conf.runtime_stats_feedback:
             self.hms.record_runtime_stats(ctx.runtime_stats)
-        # resolve hook-context inputs from the plan that actually ran
-        # (after any reoptimization), post column pruning
-        self._note_plan_inputs(optimized)
         result = QueryResult(
             rows=batch.to_rows(),
             column_names=[c.name for c in batch.schema],
@@ -801,6 +749,14 @@ class Session:
             views_used=list(optimized.views_used), optimized=optimized,
             profile=profile)
         return result
+
+    def _optimizer(self, conf: Optional[HiveConf] = None,
+                   stats_overrides: Optional[dict] = None) -> Optimizer:
+        return Optimizer(
+            self.hms, conf or self.conf, stats_overrides=stats_overrides,
+            view_provider=lambda: self.server.view_definitions(self.now_s),
+            federation_rule=self.server.federation_rule(),
+            trace=self._trace)
 
     def _run_optimized(self, optimized: OptimizedPlan, conf: HiveConf,
                        profile: Optional[ExecutionProfile] = None,
@@ -850,12 +806,7 @@ class Session:
         if not isinstance(statement, ast.SelectStatement):
             raise AnalysisError("EXPLAIN supports queries only")
         plan = self._analyzer().analyze_query(statement.query)
-        optimizer = Optimizer(
-            self.hms, self.conf,
-            view_provider=lambda: self.server.view_definitions(self.now_s),
-            federation_rule=self.server.federation_rule(),
-            trace=self._trace)
-        optimized = optimizer.optimize(plan)
+        optimized = self._optimizer().optimize(plan)
         lines = optimized.root.explain().splitlines()
         lines.append(f"-- stages: {', '.join(optimized.stages_applied)}")
         # the Tez DAG the task compiler would submit (Figure 2)
@@ -904,11 +855,7 @@ class Session:
         conf = self.conf
         if conf.plan_check_mode == "off":
             conf = conf.copy(check_plan="on")
-        optimizer = Optimizer(
-            self.hms, conf,
-            view_provider=lambda: self.server.view_definitions(self.now_s),
-            federation_rule=self.server.federation_rule(),
-            trace=self._trace)
+        optimizer = self._optimizer(conf)
         lines: list[str] = []
         error: Optional[PlanInvariantError] = None
         try:
@@ -941,14 +888,14 @@ class Session:
             raise AnalysisError("EXPLAIN ANALYZE supports queries only")
         result = self._run_select(statement.query, use_cache=False)
         from ..obs.explain_analyze import render_explain_analyze
-        # the inputs/outputs footer reads the hook context, the SAME
+        # the inputs/outputs footer reads the statement record, the SAME
         # resolution the audit log gets — the two surfaces cannot drift
-        ctx = self._hook_ctx
+        record = self._record
         lines = render_explain_analyze(
             result.optimized, result.profile,
             reexecuted=result.reexecuted, views_used=result.views_used,
-            inputs=ctx.inputs() if ctx is not None else None,
-            outputs=ctx.outputs() if ctx is not None else None)
+            inputs=record.inputs() if record is not None else None,
+            outputs=record.outputs() if record is not None else None)
         return QueryResult(rows=[(line,) for line in lines],
                            column_names=["plan"],
                            metrics=result.metrics,
@@ -965,12 +912,7 @@ class Session:
         if not isinstance(statement, ast.SelectStatement):
             raise AnalysisError("EXPLAIN LINEAGE supports queries only")
         plan = self._analyzer().analyze_query(statement.query)
-        optimizer = Optimizer(
-            self.hms, self.conf,
-            view_provider=lambda: self.server.view_definitions(self.now_s),
-            federation_rule=self.server.federation_rule(),
-            trace=self._trace)
-        optimized = optimizer.optimize(plan)
+        optimized = self._optimizer().optimize(plan)
         from ..obs.lineage import render_lineage
         lines = render_lineage(optimized.root)
         return QueryResult(rows=[(line,) for line in lines],
@@ -1163,11 +1105,11 @@ class Session:
                                "view")
         info = view.mv_info
         self._note_output(view.qualified_name)
-        if self._hook_ctx is not None:
+        if self._record is not None:
             # the incremental path executes outside _compile_and_run,
             # so resolve rebuild inputs from the view's source list
             for source in info.source_tables:
-                self._hook_ctx.add_input(source)
+                self._record.add_input(source)
         change = classify_changes(self.hms, info)
         if change is None:
             return QueryResult(message="view is fresh, nothing to do")

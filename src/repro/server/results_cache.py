@@ -28,6 +28,9 @@ class CacheEntry:
     column_names: list = field(default_factory=list)
     #: table -> WriteId the result was computed under
     snapshot_write_ids: dict = field(default_factory=dict)
+    #: table -> columns the computing statement resolved as its inputs;
+    #: a hit is audited as having read the same
+    inputs: dict = field(default_factory=dict)
     ready: bool = False
     failed: bool = False
     last_used: int = 0
@@ -114,11 +117,13 @@ class QueryResultsCache:
             return pending, True
 
     def publish(self, entry: CacheEntry, rows: list, column_names: list,
-                snapshot_write_ids: dict[str, int]) -> None:
+                snapshot_write_ids: dict[str, int],
+                inputs: Optional[dict] = None) -> None:
         with self._lock:
             entry.rows = rows
             entry.column_names = list(column_names)
             entry.snapshot_write_ids = dict(snapshot_write_ids)
+            entry.inputs = dict(inputs or {})
             entry.ready = True
             self._lock.notify_all()
 

@@ -33,6 +33,7 @@ import threading
 from typing import Optional
 
 from ..errors import AdmissionTimeoutError, HiveError, QueryKilledError
+from ..obs.query_log import StatementRecord
 from .admission import AdmissionController
 from .operations import OperationRegistry
 from .sessions import SessionManager
@@ -118,10 +119,9 @@ class HiveService:
                 session.driver.now_s += wait_s
                 self.operations.transition(op, "running",
                                            admission_wait_s=wait_s)
-                # the audit hook attributes this wait to the statement
-                session.driver.pending_admission_wait_s = wait_s
-                result = session.driver.execute(sql=op.sql,
-                                                query_id=op.query_id)
+                result = session.driver.execute(
+                    sql=op.sql, query_id=op.query_id,
+                    admission_wait_s=wait_s)
                 self.sessions.touch(session, session.driver.now_s)
                 finish_s = session.driver.now_s
             self.operations.transition(
@@ -136,21 +136,21 @@ class HiveService:
                          if result.metrics is not None else 0.0))
             self._finish_count(op, "finished")
         except QueryKilledError as error:
-            self.operations.transition(op, "killed", error=str(error),
-                                       error_code="killed")
             if not admitted:
                 # the driver never saw this statement: close out the
-                # live entry ourselves so the kill is audited
+                # live entry and complete its record ourselves — before
+                # the handle reads finished, as Session.execute does
                 obs.live_queries.finish(op.query_id, status="killed")
                 self._audit_unadmitted(op, session, "killed", error)
+            self.operations.transition(op, "killed", error=str(error),
+                                       error_code="killed")
             self._finish_count(op, "killed")
         except AdmissionTimeoutError as error:
+            # timed out in the queue: Session.execute never ran
+            obs.live_queries.finish(op.query_id, status="error")
+            self._audit_unadmitted(op, session, "denied", error)
             self.operations.transition(op, "error", error=str(error),
                                        error_code=error.code)
-            obs.live_queries.finish(op.query_id, status="error")
-            # timed out in the queue: Session.execute never ran, so
-            # the audit hook could not see the denial
-            self._audit_unadmitted(op, session, "denied", error)
             self._finish_count(op, "timeout")
         except Exception as error:   # never strand an operation
             code = (getattr(error, "code", "") or "execution"
@@ -168,21 +168,18 @@ class HiveService:
 
     def _audit_unadmitted(self, op, session, status: str,
                           error: Exception) -> None:
-        """Audit a statement that died before reaching the driver.
+        """Complete a statement that died before reaching the driver.
 
         Killed-while-queued and admission-timeout operations never
-        enter ``Session.execute``, so the post/failure hooks cannot
-        fire — this is the only other writer of the audit log, keeping
-        the one-row-per-statement invariant.
+        enter ``Session.execute``; their record ends in the same
+        ``record_query`` every executed statement's does.
         """
-        from ..obs.audit import AuditRecord
-        self.server.obs.audit_log.append(AuditRecord(
-            query_id=op.query_id, tenant=session.tenant,
+        self.server.obs.record_query(StatementRecord(
+            query_id=op.query_id, statement=op.sql, tenant=session.tenant,
             session=session.session_id,
             database=session.driver.database,
-            application=session.application, statement=op.sql,
-            operation="", status=status, error=str(error),
-            at_s=session.driver.now_s))
+            application=session.application, status=status,
+            error=str(error), started_s=session.driver.now_s))
 
     # -- client helpers (in-process protocol) --------------------------- #
     def execute(self, session_id: str, sql: str,

@@ -25,6 +25,7 @@ from ..common import sync
 from typing import Optional
 
 from ..errors import ServiceError, TransactionError
+from ..obs.query_log import StatementRecord
 
 
 class ServiceSession:
@@ -96,8 +97,7 @@ class SessionManager:
                         code="quota")
                 session_id = f"s{next(self._ids):06x}"
         except ServiceError as error:
-            # rejected opens never reach Session.execute, so the audit
-            # hook cannot see them — record the denial here
+            # a rejected open is a denied statement of its own
             self._audit_denied(token, application, database, error)
             raise
         driver = self.server.connect(database, application)
@@ -117,16 +117,14 @@ class SessionManager:
     def _audit_denied(self, token: Optional[str],
                       application: Optional[str], database: str,
                       error: ServiceError) -> None:
-        from ..obs.audit import AuditRecord
         with self._lock:
             tenant = self._tenants.get(token or "",
                                        token or "anonymous")
-        # the audit log takes its own lock
-        self.server.obs.audit_log.append(AuditRecord(  # reprolint: disable=RL001
+        self.server.obs.record_query(StatementRecord(
             query_id=0, tenant=tenant, database=database,
             application=application, operation="open_session",
             status="denied", error=str(error),
-            at_s=self.server.hms.txn_manager.advance_clock(0.0)))
+            started_s=self.server.hms.txn_manager.advance_clock(0.0)))
 
     def get(self, session_id: str) -> ServiceSession:
         with self._lock:

@@ -17,7 +17,8 @@ import time
 import pytest
 
 from repro.config import HiveConf
-from repro.errors import AnalysisError, CatalogError, ServiceError
+from repro.errors import (AnalysisError, CatalogError, QueryKilledError,
+                          ServiceError)
 from repro.lint.reprolint import lint_source
 from repro.server.driver import HiveServer2
 from repro.service import HiveService, LoadClient, run_load
@@ -290,9 +291,9 @@ class TestAuditLog:
         assert record.tenant == "bi"
         assert record.session == session.session_id
         assert record.status == "ok"
-        assert record.rows_returned == 2
-        assert record.input_tables == ["default.t"]
-        assert "default.t.a" in record.columns
+        assert record.rows_produced == 2
+        assert record.inputs() == ["default.t"]
+        assert "default.t.a" in record.column_refs()
 
     def test_denied_session_open_is_audited(self, service):
         service.register_tenant("bi", token="bi-token")
@@ -304,14 +305,56 @@ class TestAuditLog:
         assert denied[0].operation == "open_session"
 
     def test_killed_statement_is_audited(self, server):
+        """A statement killed mid-flight is audited with the inputs its
+        already-optimised plan resolved."""
+        session = server.connect()
+        session.execute("CREATE TABLE t (a INT, b INT)")
+        live = server.obs.live_queries
+
+        def assassin(entry):
+            live.remove_checkpoint_hook(assassin)
+            live.request_kill(entry.query_id, reason="test")
+
+        live.add_checkpoint_hook(assassin)
+        with pytest.raises(QueryKilledError):
+            session.execute("SELECT a, SUM(b) FROM t GROUP BY a")
+        (row,) = session.execute(
+            "SELECT input_tables, `columns` FROM sys.audit_log "
+            "WHERE status = 'killed'").rows
+        assert row == ("default.t", "default.t.a,default.t.b")
+
+    def test_failed_kill_query_is_audited_as_an_error(self, server):
         session = server.connect()
         session.execute("CREATE TABLE t (a INT)")
         with pytest.raises(AnalysisError):
             session.execute("KILL QUERY 99999")
-        killed_or_error = [
-            r for r in server.obs.audit_log.entries()
-            if r.status == "error" and "99999" in r.error]
-        assert len(killed_or_error) == 1
+        failed = [r for r in server.obs.audit_log.entries()
+                  if r.status == "error" and "99999" in r.error]
+        assert len(failed) == 1
+
+    def test_results_cache_hit_is_audited_with_its_inputs(self, server):
+        """A results-cache hit runs no plan, but it read the tables the
+        computing statement read — on the raw plan-cache-hit path and on
+        the parsed path alike; lineage stays untouched."""
+        session = server.connect()
+        session.execute("CREATE TABLE u2 (a INT, b INT)")
+        session.execute("INSERT INTO u2 VALUES (1, 1), (2, 2), (3, 3), "
+                        "(4, 4), (5, 5)")
+        session.execute("SET hive.query.results.cache.enabled=true")
+        session.execute("SELECT a FROM u2")             # computes
+        lineage_recorded = server.obs.lineage_graph.recorded
+        raw = session.execute("SELECT a FROM u2")       # raw-text hit
+        session.execute("SET hive.server2.plan.cache.enabled=false")
+        parsed = session.execute("select a from u2")    # parsed, no plan
+        assert raw.from_cache and raw.plan_cached
+        assert parsed.from_cache and not parsed.plan_cached
+        assert server.obs.lineage_graph.recorded == lineage_recorded
+        for result in (raw, parsed):
+            (row,) = session.execute(
+                "SELECT rows_returned, input_tables, `columns` "
+                "FROM sys.audit_log "
+                f"WHERE query_id = {result.query_id}").rows
+            assert row == (5, "default.u2", "default.u2.a")
 
     def test_sys_audit_log_queryable_by_tenant(self, service):
         service.register_tenant("bi", token="bi-token")
@@ -349,8 +392,8 @@ class TestAuditLog:
         assert ("-- inputs: default.item, default.store_sales"
                 in text)
         record = server.obs.audit_log.entries()[-1]
-        assert record.input_tables == ["default.item",
-                                       "default.store_sales"]
+        assert record.inputs() == ["default.item",
+                                   "default.store_sales"]
 
     def test_trace_attrs_carry_fingerprint_and_tenant(self, server):
         """Satellite: spans join against sys.query_store and

@@ -3,6 +3,7 @@
 EXPLAIN ANALYZE, and the SQL-queryable ``sys`` catalog."""
 
 import json
+import threading
 
 import pytest
 
@@ -67,6 +68,43 @@ class TestMetricsRegistry:
         assert reg.value("live", part="x") == 1
         state["n"] = 42
         assert reg.value("live", part="x") == 42
+
+    @pytest.mark.parametrize("read", ["value", "total"])
+    def test_callbacks_run_outside_the_registry_lock(self, read):
+        """A callback takes its owner's lock, and owners reach the
+        registry while holding it (QueryStore._lock ->
+        MetricsRegistry._lock): reading the gauge under the registry
+        lock would be the inverted order."""
+        reg = MetricsRegistry()
+        owner = threading.Lock()
+        in_callback = threading.Event()
+
+        def callback():
+            in_callback.set()
+            with owner:
+                return 1.0
+
+        def owner_thread():
+            with owner:
+                holding.set()
+                in_callback.wait(timeout=10)
+                reg.counter("owner.events").inc()
+
+        reg.register_callback("live", callback)
+        holding = threading.Event()
+        seen = []
+        threads = [
+            threading.Thread(target=owner_thread, daemon=True),
+            threading.Thread(
+                target=lambda: seen.append(getattr(reg, read)("live")),
+                daemon=True)]
+        threads[0].start()
+        assert holding.wait(timeout=10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1.0]
 
     def test_drop_removes_one_series(self):
         reg = MetricsRegistry()

@@ -13,7 +13,7 @@ from repro.llap.workload import (Pool, QueryAdmission, ResourcePlan,
                                  Trigger, TriggerAction, WmEventLog,
                                  WorkloadManager)
 from repro.obs import MetricsRegistry
-from repro.obs.query_log import QueryLog, QueryLogEntry
+from repro.obs.query_log import RingLog, StatementRecord
 from repro.obs.report import (perf_gate, render_bench_report,
                               update_experiments)
 from repro.server.driver import HiveServer2
@@ -326,9 +326,9 @@ class TestRegistryPercentile:
 
 class TestQueryLogRetention:
     def test_eviction_spills_to_overflow(self):
-        log = QueryLog(capacity=3)
+        log = RingLog(capacity=3)
         for i in range(10):
-            log.append(QueryLogEntry(query_id=i, statement=f"q{i}"))
+            log.append(StatementRecord(query_id=i, statement=f"q{i}"))
         assert len(log) == 3
         assert log.overflow.spilled == 7
         everything = log.all_entries()
@@ -336,21 +336,21 @@ class TestQueryLogRetention:
 
     def test_file_backed_overflow_round_trip(self, tmp_path):
         path = str(tmp_path / "overflow.jsonl")
-        log = QueryLog(capacity=1, overflow_path=path)
-        first = QueryLogEntry(query_id=1, statement="a")
+        log = RingLog(capacity=1, overflow_path=path)
+        first = StatementRecord(query_id=1, statement="a")
         first.vertices = [(1, 0, "Map 1", 2, 10, 0.0, 0.1, 0.2, 0.0,
                            0.0, 0.3, 0.0, 0.3, 0, 0.2, 0.1, 2.0, True)]
         log.append(first)
-        log.append(QueryLogEntry(query_id=2, statement="b"))
+        log.append(StatementRecord(query_id=2, statement="b"))
         restored = log.overflow.entries()
         assert [e.query_id for e in restored] == [1]
         assert restored[0].vertices[0][2] == "Map 1"
         assert isinstance(restored[0].vertices[0], tuple)
 
     def test_set_capacity_spills_excess(self):
-        log = QueryLog(capacity=10)
+        log = RingLog(capacity=10)
         for i in range(10):
-            log.append(QueryLogEntry(query_id=i, statement=f"q{i}"))
+            log.append(StatementRecord(query_id=i, statement=f"q{i}"))
         log.set_capacity(4)
         assert len(log) == 4
         assert log.overflow.spilled == 6

@@ -17,7 +17,7 @@ import repro
 from repro.config import HiveConf
 from repro.errors import WorkloadManagementError
 from repro.obs import fingerprint as fp
-from repro.obs.query_log import QueryLogEntry
+from repro.obs.query_log import StatementRecord
 from repro.obs.query_store import QueryStore
 from repro.obs.registry import METRIC_HELP
 
@@ -62,9 +62,12 @@ class TestFingerprint:
 # the store itself, fed synthetic entries
 
 def entry(i, total_s, *, started_s=None, status="ok", from_cache=False,
-          reexecuted=False, rows=10):
-    return QueryLogEntry(
+          reexecuted=False, rows=10, fingerprint="", plan_hash="",
+          plan_explain=""):
+    return StatementRecord(
         query_id=i, statement="SELECT ...", status=status,
+        fingerprint=fingerprint, plan_hash=plan_hash,
+        plan_explain=plan_explain,
         from_cache=from_cache, reexecuted=reexecuted, rows_produced=rows,
         started_s=total_s * i if started_s is None else started_s,
         total_s=total_s, queue_s=0.01, wall_ms=1.0,
@@ -75,14 +78,13 @@ class TestQueryStoreUnit:
     def test_aggregation_counts(self):
         store = QueryStore()
         for i in range(4):
-            store.record(entry(i, 1.0), fingerprint="fp1",
-                         plan_hash="p1", now_s=float(i))
-        store.record(entry(4, 1.0, status="error"), fingerprint="fp1",
-                     plan_hash="p1", now_s=4.0)
-        store.record(entry(5, 1.0, from_cache=True), fingerprint="fp1",
-                     plan_hash="p1", now_s=5.0)
-        store.record(entry(6, 1.0, reexecuted=True), fingerprint="fp1",
-                     plan_hash="p1", now_s=6.0)
+            store.record(entry(i, 1.0, fingerprint="fp1", plan_hash="p1"))
+        store.record(entry(4, 1.0, status="error", fingerprint="fp1",
+                           plan_hash="p1"))
+        store.record(entry(5, 1.0, from_cache=True, fingerprint="fp1",
+                           plan_hash="p1"))
+        store.record(entry(6, 1.0, reexecuted=True, fingerprint="fp1",
+                           plan_hash="p1"))
         (row,) = store.rows_store()
         fingerprint, _stmt, plans, execs, errors, retries, rc_hits = \
             row[:7]
@@ -92,11 +94,9 @@ class TestQueryStoreUnit:
 
     def test_cached_and_failed_not_in_latency_window(self):
         store = QueryStore(window_s=1000.0)
-        store.record(entry(0, 1.0), fingerprint="f", now_s=0.0)
-        store.record(entry(1, 50.0, status="error"), fingerprint="f",
-                     now_s=1.0)
-        store.record(entry(2, 50.0, from_cache=True), fingerprint="f",
-                     now_s=2.0)
+        store.record(entry(0, 1.0, fingerprint="f"))
+        store.record(entry(1, 50.0, status="error", fingerprint="f"))
+        store.record(entry(2, 50.0, from_cache=True, fingerprint="f"))
         (row,) = store.rows_store()
         p95 = row[12]
         assert p95 == 1.0      # the poison samples were excluded
@@ -104,11 +104,9 @@ class TestQueryStoreUnit:
     def test_window_rollover_builds_baseline(self):
         store = QueryStore(window_s=10.0, regression_min_samples=1)
         # bucket 0
-        store.record(entry(0, 1.0, started_s=1.0), fingerprint="f",
-                     now_s=1.0)
+        store.record(entry(0, 1.0, started_s=1.0, fingerprint="f"))
         # bucket 1 -> the old current becomes baseline
-        store.record(entry(1, 1.0, started_s=11.0), fingerprint="f",
-                     now_s=11.0)
+        store.record(entry(1, 1.0, started_s=11.0, fingerprint="f"))
         stats = store._fps["f"]
         assert list(stats.baseline) == [1.0]
         assert stats.current == [1.0]
@@ -117,11 +115,11 @@ class TestQueryStoreUnit:
         store = QueryStore(window_s=10.0, regression_threshold=1.5,
                            regression_min_samples=2)
         for i in range(4):       # bucket 0: the fast baseline
-            store.record(entry(i, 1.0, started_s=float(i)),
-                         fingerprint="f", now_s=float(i))
+            store.record(entry(i, 1.0, started_s=float(i),
+                               fingerprint="f"))
         for i in range(4, 8):    # bucket 1: 4x slower
-            store.record(entry(i, 4.0, started_s=10.0 + i),
-                         fingerprint="f", now_s=10.0 + i)
+            store.record(entry(i, 4.0, started_s=10.0 + i,
+                               fingerprint="f"))
         events = [e for e in store.events() if e.kind == "regression"]
         assert len(events) == 1
         event = events[0]
@@ -135,22 +133,20 @@ class TestQueryStoreUnit:
         store = QueryStore(window_s=10.0, regression_threshold=1.5,
                            regression_min_samples=2)
         for i in range(4):
-            store.record(entry(i, 1.0, started_s=float(i)),
-                         fingerprint="f", now_s=float(i))
+            store.record(entry(i, 1.0, started_s=float(i),
+                               fingerprint="f"))
         for i in range(4, 8):    # 1.2x — inside the threshold
-            store.record(entry(i, 1.2, started_s=10.0 + i),
-                         fingerprint="f", now_s=10.0 + i)
+            store.record(entry(i, 1.2, started_s=10.0 + i,
+                               fingerprint="f"))
         assert [e for e in store.events()
                 if e.kind == "regression"] == []
 
     def test_plan_change_event_with_diff(self):
         store = QueryStore()
-        store.record(entry(0, 1.0), fingerprint="f", plan_hash="old",
-                     plan_explain="TableScan t\n  Filter a > ?",
-                     now_s=0.0)
-        store.record(entry(1, 1.0), fingerprint="f", plan_hash="new",
-                     plan_explain="TableScan t\n  MV rewrite mv1",
-                     now_s=1.0)
+        store.record(entry(0, 1.0, fingerprint="f", plan_hash="old",
+                           plan_explain="TableScan t\n  Filter a > ?"))
+        store.record(entry(1, 1.0, fingerprint="f", plan_hash="new",
+                           plan_explain="TableScan t\n  MV rewrite mv1"))
         (event,) = [e for e in store.events()
                     if e.kind == "plan_change"]
         assert (event.old_plan_hash, event.new_plan_hash) == \
@@ -158,44 +154,43 @@ class TestQueryStoreUnit:
         assert "Filter" in event.detail and "MV rewrite" in event.detail
         assert store.plan_changes == 1
         # flapping back and forth dedups per (old, new) direction
-        store.record(entry(2, 1.0), fingerprint="f", plan_hash="old",
-                     plan_explain="x", now_s=2.0)
-        store.record(entry(3, 1.0), fingerprint="f", plan_hash="new",
-                     plan_explain="y", now_s=3.0)
+        store.record(entry(2, 1.0, fingerprint="f", plan_hash="old",
+                           plan_explain="x"))
+        store.record(entry(3, 1.0, fingerprint="f", plan_hash="new",
+                           plan_explain="y"))
         changes = [e for e in store.events() if e.kind == "plan_change"]
         assert len(changes) == 2
         assert changes[0].count == 2     # old->new seen twice
 
     def test_capacity_eviction_lru(self):
         store = QueryStore(capacity=2)
-        store.record(entry(0, 1.0), fingerprint="a", now_s=1.0)
-        store.record(entry(1, 1.0), fingerprint="b", now_s=2.0)
-        store.record(entry(2, 1.0), fingerprint="c", now_s=3.0)
+        store.record(entry(0, 1.0, fingerprint="a"))
+        store.record(entry(1, 1.0, fingerprint="b"))
+        store.record(entry(2, 1.0, fingerprint="c"))
         assert store.evictions == 1
         assert {row[0] for row in store.rows_store()} == {"b", "c"}
 
     def test_max_events_bounded(self):
         store = QueryStore(max_events=2)
         for i in range(4):
-            store.record(entry(2 * i, 1.0), fingerprint=f"f{i}",
-                         plan_hash="p1", plan_explain="a", now_s=0.0)
-            store.record(entry(2 * i + 1, 1.0), fingerprint=f"f{i}",
-                         plan_hash="p2", plan_explain="b", now_s=1.0)
+            store.record(entry(2 * i, 1.0, fingerprint=f"f{i}",
+                               plan_hash="p1", plan_explain="a"))
+            store.record(entry(2 * i + 1, 1.0, fingerprint=f"f{i}",
+                               plan_hash="p2", plan_explain="b"))
         assert len(store.events()) == 2
         assert store.events_retained() == 2
 
     def test_disabled_store_records_nothing(self):
         store = QueryStore()
         store.enabled = False
-        store.record(entry(0, 1.0), fingerprint="f", now_s=0.0)
+        store.record(entry(0, 1.0, fingerprint="f"))
         store.note_plan_cache("default", "SELECT 1", True)
         assert store.rows_store() == []
         assert len(store) == 0
 
     def test_plan_rows_shape(self):
         store = QueryStore()
-        store.record(entry(0, 2.0), fingerprint="f", plan_hash="p1",
-                     now_s=0.0)
+        store.record(entry(0, 2.0, fingerprint="f", plan_hash="p1"))
         (row,) = store.rows_plans()
         assert row[0] == "f" and row[1] == "p1"
         assert row[2] == 1               # executions
