@@ -210,8 +210,10 @@ class CompactionWorker:
 class CompactionCleaner:
     """Deletes obsolete directories once no open reader can need them."""
 
-    def __init__(self, hms: HiveMetastore):
+    def __init__(self, hms: HiveMetastore, on_removed=None):
         self.hms = hms
+        #: told the directories one run removed (caches let go of them)
+        self.on_removed = on_removed
 
     def run(self) -> int:
         """Clean every request that is past its barrier; returns number of
@@ -219,7 +221,7 @@ class CompactionCleaner:
         directories removed."""
         txn: TransactionManager = self.hms.txn_manager
         fs: SimFileSystem = self.hms.fs
-        removed = 0
+        removed: list[str] = []
         for request in self.hms.compaction_queue.ready_for_cleaning():
             min_open = txn.min_open_txn()
             if (request.cleaner_barrier_txn is not None
@@ -229,6 +231,8 @@ class CompactionCleaner:
             for path in request.obsolete_paths:
                 if fs.exists(path):
                     fs.delete(path, recursive=True)
-                    removed += 1
+                    removed.append(path)
             self.hms.compaction_queue.mark_done(request.request_id)
-        return removed
+        if removed and self.on_removed is not None:
+            self.on_removed(removed)
+        return len(removed)

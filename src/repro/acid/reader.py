@@ -259,7 +259,9 @@ class AcidReader:
         # fall back to any file present to learn the table schema
         statuses = self.fs.list_files(location, recursive=True)
         for status in statuses:
-            if status.path.endswith(BUCKET_FILE):
+            # a delete delta holds record ids only, not the table's columns
+            if status.path.endswith(BUCKET_FILE) \
+                    and "/delete_delta_" not in status.path:
                 reader = self._open(status.path)
                 data_names = (list(columns) if columns is not None
                               else [c.name for c in reader.schema

@@ -18,7 +18,8 @@ level:
    point.  A token is ``ClassName.attr`` — one node per lock site, the
    same identity the runtime sanitizer uses.
 2. **Call graph** — calls are resolved by name: ``self.m()`` to the
-   own class, ``obj.m()`` to every class defining ``m`` (container
+   own class, ``Class.m(obj)`` to that method alone, ``obj.m()`` to
+   every class defining ``m`` (container
    method names like ``append``/``get`` are never followed; highly
    ambiguous names are dropped).  A fixpoint computes, per method, the
    set of tokens it may transitively acquire.
@@ -121,7 +122,7 @@ class MethodModel:
     lineno: int
     #: (token, held tokens, line, col) — direct lock acquisitions
     acquires: list = field(default_factory=list)
-    #: (callee name, is_self_call, held tokens, line, col)
+    #: (callee name, receiver if a bare name, held tokens, line, col)
     calls: list = field(default_factory=list)
     #: (attr, own_lock_held, line, col) — Loads of self.<attr>
     reads: list = field(default_factory=list)
@@ -350,14 +351,14 @@ class _MethodWalker:
         if isinstance(func, ast.Attribute):
             if func.attr in CONTAINER_METHODS:
                 return
-            is_self = (isinstance(func.value, ast.Name)
-                       and func.value.id == "self")
+            receiver = (func.value.id
+                        if isinstance(func.value, ast.Name) else None)
             self.model.calls.append(
-                (func.attr, is_self, held, node.lineno,
+                (func.attr, receiver, held, node.lineno,
                  node.col_offset))
         elif isinstance(func, ast.Name):
             self.model.calls.append(
-                (func.id, False, held, node.lineno, node.col_offset))
+                (func.id, None, held, node.lineno, node.col_offset))
 
     def _record_attr_access(self, node: ast.AST, held: tuple) -> None:
         cls = self.cls
@@ -498,14 +499,17 @@ class ConcurrencyAnalyzer:
             cls.methods[node.name] = model
 
     # -- call resolution ---------------------------------------------------- #
-    def _resolve(self, callee: str, is_self: bool,
+    def _resolve(self, callee: str, receiver: Optional[str],
                  caller: MethodModel) -> list[str]:
         if callee in CONTAINER_METHODS:
             return []
-        if is_self and caller.cls is not None:
+        if receiver == "self" and caller.cls is not None:
             own = f"{caller.cls}.{callee}"
             if own in self.methods:
                 return [own]
+        named = f"{receiver}.{callee}"
+        if named in self.methods:   # ``Class.method(obj, ...)``
+            return [named]
         candidates = sorted(self.method_index.get(callee, []))
         # drop the caller itself on non-self calls to the same name
         if len(candidates) > MAX_CALL_CANDIDATES:
@@ -520,8 +524,8 @@ class ConcurrencyAnalyzer:
         call_targets: dict[str, set[str]] = {}
         for qual, m in self.methods.items():
             targets = set()
-            for callee, is_self, _held, _l, _c in m.calls:
-                targets.update(self._resolve(callee, is_self, m))
+            for callee, receiver, _held, _l, _c in m.calls:
+                targets.update(self._resolve(callee, receiver, m))
             call_targets[qual] = targets
         changed = True
         while changed:
@@ -541,8 +545,8 @@ class ConcurrencyAnalyzer:
         # least one call site in the model
         sites: dict[str, list[tuple[str, tuple]]] = {}
         for qual, m in self.methods.items():
-            for callee, is_self, held, _l, _c in m.calls:
-                for target in self._resolve(callee, is_self, m):
+            for callee, receiver, held, _l, _c in m.calls:
+                for target in self._resolve(callee, receiver, m):
                     sites.setdefault(target, []).append((qual, held))
         eff: set[str] = set()
         changed = True
@@ -609,11 +613,11 @@ class ConcurrencyAnalyzer:
                                 "this path"))
                     else:
                         edges.setdefault((h, token), witness(m, line))
-            for callee, is_self, held, line, col in m.calls:
+            for callee, receiver, held, line, col in m.calls:
                 held = effective_held(m, held)
                 if not held:
                     continue
-                for target in self._resolve(callee, is_self, m):
+                for target in self._resolve(callee, receiver, m):
                     for token in sorted(may_acquire.get(target, ())):
                         for h in held:
                             if h == token:

@@ -107,13 +107,14 @@ class LlapCache:
         self.stats.miss_bytes += nbytes
         return True
 
-    def invalidate_file(self, file_id: int) -> int:
-        """Drop every chunk of a file (e.g. after compaction cleanup).
+    def invalidate_files(self, file_ids) -> int:
+        """Drop every chunk of these files in one pass over the cache
+        (compaction cleanup via ``LlapReaderFactory.forget``).
 
         Counts as eviction: capacity pressure and invalidation must move
         the same ``evictions``/``evicted_bytes`` stats or the registry's
         cache series drift from the actual resident set."""
-        doomed = [k for k in self._entries if k.file_id == file_id]
+        doomed = [k for k in self._entries if k.file_id in file_ids]
         for key in doomed:
             entry = self._entries.pop(key)
             self._used -= entry.nbytes
@@ -121,20 +122,20 @@ class LlapCache:
             self.stats.evicted_bytes += entry.nbytes
         return len(doomed)
 
+    def invalidate_file(self, file_id: int) -> int:
+        return self.invalidate_files({file_id})
+
     def invalidate_node(self, node: int, num_nodes: int) -> int:
         """Drop every chunk resident on a dead LLAP daemon.
 
         Chunk placement follows the simulator's block-placement rule —
         :func:`repro.llap.placement.node_of` — so a daemon death wipes
         exactly the files hosted on that node.  Counts as eviction for
-        the same reason as :meth:`invalidate_file`.
+        the same reason as :meth:`invalidate_files`.
         """
-        doomed = {k.file_id for k in self._entries
-                  if node_of(k.file_id, num_nodes) == node}
-        dropped = 0
-        for file_id in doomed:
-            dropped += self.invalidate_file(file_id)
-        return dropped
+        return self.invalidate_files({
+            k.file_id for k in self._entries
+            if node_of(k.file_id, num_nodes) == node})
 
     def clear(self) -> None:
         self._entries.clear()

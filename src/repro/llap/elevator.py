@@ -108,6 +108,9 @@ class LlapReaderFactory:
         self.io = IOBreakdown()
         #: metadata cache: (file_id, length) -> parsed OrcReader
         self._metadata: dict[tuple[int, int], OrcReader] = {}
+        #: directory -> metadata keys opened under it, so ``forget``
+        #: never has to list the file system
+        self._by_dir: dict[str, list[tuple[int, int]]] = {}
 
     def open(self, path: str):
         status = self.fs.status(path)
@@ -117,6 +120,7 @@ class LlapReaderFactory:
             data = self.fs.read(path)
             reader = OrcReader(data)
             self._metadata[key] = reader
+            self._by_dir.setdefault(path.rsplit("/", 1)[0], []).append(key)
             # a fresh open pays for the footer read from disk
             self.io.metadata_bytes += reader.metadata_bytes
             self.io.disk_bytes += reader.metadata_bytes
@@ -124,10 +128,17 @@ class LlapReaderFactory:
         return _CachedReader(reader, status.file_id, status.length,
                              self.cache, self.io)
 
-    def invalidate(self, file_id: int) -> None:
-        self._metadata = {k: v for k, v in self._metadata.items()
-                          if k[0] != file_id}
-        self.cache.invalidate_file(file_id)
+    def forget(self, directories: Sequence[str]) -> int:
+        """The compaction Cleaner removed ``directories``: drop their
+        files' metadata (each entry pins the whole file's bytes) and, in
+        one pass over the cache, their chunks.  Those files are never
+        opened again, so no later read changes.  Returns chunks dropped.
+        """
+        keys = [key for directory in directories
+                for key in self._by_dir.pop(directory, ())]
+        for key in keys:
+            self._metadata.pop(key, None)
+        return self.cache.invalidate_files({key[0] for key in keys})
 
     def invalidate_node(self, node: int, num_nodes: int) -> int:
         """Daemon death: drop the dead node's metadata and data chunks.

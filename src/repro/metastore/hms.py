@@ -311,13 +311,15 @@ class HiveMetastore:
         with self._lock:
             key = (table.qualified_name, partition)
             existing = self._stats.get(key)
-            self._stats[key] = existing.merge(delta) if existing else delta
+            self._stats[key] = (TableStatistics.merge(existing, delta)
+                                if existing else delta)
             if partition is not None:
                 # roll partition deltas into the table-level aggregate too
                 table_key = (table.qualified_name, None)
                 table_stats = self._stats.get(table_key)
-                self._stats[table_key] = (table_stats.merge(delta)
-                                          if table_stats else delta.copy())
+                self._stats[table_key] = (
+                    TableStatistics.merge(table_stats, delta)
+                    if table_stats else delta.copy())
             self._bump_plan_version(table.qualified_name)
 
     def set_statistics(self, table: TableDescriptor, stats: TableStatistics,

@@ -64,7 +64,8 @@ class ColumnStatistics:
             null_count=self.null_count + other.null_count,
             min_value=_merge_min(self.min_value, other.min_value),
             max_value=_merge_max(self.max_value, other.max_value),
-            ndv_sketch=self.ndv_sketch.merge(other.ndv_sketch),
+            ndv_sketch=HyperLogLog.merge(self.ndv_sketch,
+                                         other.ndv_sketch),
         )
         return merged
 
@@ -91,7 +92,7 @@ class TableStatistics:
         for name in names:
             mine, theirs = self.columns.get(name), other.columns.get(name)
             if mine and theirs:
-                merged.columns[name] = mine.merge(theirs)
+                merged.columns[name] = ColumnStatistics.merge(mine, theirs)
             else:
                 merged.columns[name] = (mine or theirs).copy()
         return merged

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..acid.reader import AcidReader
+from ..acid.reader import META_NAMES, AcidReader
 from ..common.bloom import BloomFilter
 from ..common.vector import ColumnVector, VectorBatch
 from ..errors import ExecutionError, FederationError
@@ -233,10 +233,14 @@ class ScanExecutor:
     def _native(self, node: rel.TableScan, table: TableDescriptor,
                 metrics: ScanMetrics) -> VectorBatch:
         reader = AcidReader(self.fs, self.reader_factory)
+        # columns the files do not store under the table's schema are
+        # virtual: the record id (§3.2) and the partition constants
         data_names = [c.name for c in node.schema
                       if c.name in table.schema]
+        row_ids = any(c.name in META_NAMES for c in node.schema)
         part_names = [c.name for c in node.schema
-                      if c.name not in table.schema]
+                      if c.name not in table.schema
+                      and c.name not in META_NAMES]
         sargs = self._convert_sargs(node)
         sargs += self._semijoin_sargs(node)
 
@@ -266,7 +270,7 @@ class ScanExecutor:
                         f"{table.qualified_name}")
                 batch, read_metrics = reader.read(
                     location, valid, columns=data_names or None,
-                    sargs=sargs)
+                    sargs=sargs, include_row_ids=row_ids)
                 metrics.delete_keys += read_metrics.delete_keys
             else:
                 batch, read_metrics = reader.read_plain(

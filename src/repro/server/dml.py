@@ -11,27 +11,39 @@ Implements the transactional write path:
 5. merge additive statistics into HMS,
 6. commit, release locks, and let the compaction initiator react.
 
-Updates are modeled as delete + insert, exactly as the paper describes.
+Updates are modeled as delete + insert, exactly as the paper describes,
+and UPDATE / DELETE / MERGE are *a plan plus a write* (DESIGN.md): an
+ordinary scan -> filter -> join plan whose ``TableScan`` also names the
+record id finds the records, one partition at a time; what comes back is
+written as a delete delta (and an insert delta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..acid.compactor import CompactionInitiator
-from ..acid.reader import AcidReader, row_ids_from_batch
-from ..acid.writer import AcidWriter, RowId
-from ..common.rows import Schema
+from ..acid.reader import row_ids_from_batch
+from ..acid.writer import ACID_META_COLUMNS, AcidWriter
+from ..common.rows import Column, Schema
+from ..common.types import BIGINT
 from ..common.vector import VectorBatch
 from ..config import HiveConf
 from ..errors import AnalysisError, ExecutionError
 from ..exec.compile import EvalContext, compile_expr, compile_predicate
+from ..exec.operators import ExecutionContext, execute
 from ..metastore.catalog import TableDescriptor
 from ..metastore.hms import HiveMetastore
 from ..metastore.locks import LockType
 from ..metastore.stats import TableStatistics
+from ..optimizer.rules_basic import (fold_constants, prune_partitions,
+                                     push_down_predicates)
+from ..plan import relnodes as rel
 from ..plan import rexnodes as rex
+from ..runtime.scan import ScanExecutor
 
 
 @dataclass
@@ -39,6 +51,20 @@ class DmlResult:
     rows_affected: int
     operation: str
     table: str
+
+
+def project_rows(schema: Schema, rows: Sequence[tuple],
+                 condition: Optional[rex.RexNode],
+                 exprs: Sequence[rex.RexNode],
+                 eval_ctx: EvalContext) -> list[tuple]:
+    """``SELECT exprs FROM (VALUES rows) WHERE condition`` as a plan
+    (multi-insert branches, MERGE's NOT MATCHED rows)."""
+    plan = rel.Values(schema, tuple(rows))
+    if condition is not None:
+        plan = rel.Filter(plan, condition)
+    plan = rel.Project(plan, tuple(exprs),
+                       tuple(f"_c{i}" for i in range(len(exprs))))
+    return execute(plan, ExecutionContext(None, eval_ctx=eval_ctx)).to_rows()
 
 
 class TableWriter:
@@ -53,8 +79,41 @@ class TableWriter:
         self.eval_ctx = (eval_ctx if eval_ctx is not None
                          else EvalContext())
         self.writer = AcidWriter(hms.fs)
-        self.reader = AcidReader(hms.fs)
         self.initiator = CompactionInitiator(hms, conf)
+
+    def _transact(self, table: TableDescriptor, operation: str,
+                  txn: int | None, change) -> DmlResult:
+        """The one transaction scaffold: open -> ``change(txn)`` (returns
+        the rows it affected) -> commit | abort -> release locks -> emit
+        event -> initiator.  With ``txn`` the write joins an open multi-
+        statement transaction (§9 roadmap) whose owner does all but the
+        change and the event."""
+        own_txn = txn is None
+        if own_txn:
+            txn = self.hms.txn_manager.open_transaction()
+        try:
+            total = change(txn)
+            if own_txn:
+                self.hms.txn_manager.commit(txn)
+        except Exception:
+            if own_txn:
+                # abort is idempotent on already-aborted transactions
+                # (commit conflicts self-abort before raising)
+                self.hms.txn_manager.abort(txn)
+            raise
+        finally:
+            if own_txn:
+                self.hms.lock_manager.release_all(txn)
+        self.hms.emit_event(operation.upper(), table.qualified_name,
+                            {"rows": total})
+        if own_txn:
+            self.initiator.check_table(table)
+        return DmlResult(total, operation, table.qualified_name)
+
+    def _lock(self, txn: int, table: TableDescriptor, values: tuple):
+        self.hms.lock_manager.acquire(
+            txn, table.qualified_name,
+            values if table.is_partitioned else None, LockType.SHARED)
 
     # ------------------------------------------------------------------ #
     # INSERT
@@ -70,26 +129,17 @@ class TableWriter:
         partitioning).
 
         With ``txn`` the write joins an open multi-statement transaction
-        (§9 roadmap): the caller owns commit/rollback and lock release,
         and statistics deltas are deferred to ``stats_sink``.
         """
         partition_spec = {k.lower(): v
                           for k, v in (partition_spec or {}).items()}
         routed = self._route_partitions(table, rows, partition_spec)
 
-        own_txn = txn is None
-        if own_txn:
-            txn = self.hms.txn_manager.open_transaction()
-        locked = []
-        try:
+        def change(txn: int) -> int:
             for values in routed:
-                key = values if table.is_partitioned else None
-                self.hms.lock_manager.acquire(
-                    txn, table.qualified_name, key, LockType.SHARED)
-                locked.append(key)
+                self._lock(txn, table, values)
             write_id = self.hms.txn_manager.allocate_write_id(
                 txn, table.qualified_name)
-            total = 0
             for values, part_rows in routed.items():
                 location = self._partition_location(table, values,
                                                     create=True)
@@ -106,28 +156,13 @@ class TableWriter:
                         bloom_columns=table.bloom_filter_columns,
                         file_seq=seq, file_format=table.file_format)
                 self.hms.txn_manager.record_write_set(
-                    txn, table.qualified_name,
-                    values if table.is_partitioned else (), "insert")
+                    txn, table.qualified_name, values, "insert")
                 self._record_stats(stats_sink, table, part_rows,
                                    values if table.is_partitioned
                                    else None, replace=overwrite)
-                total += len(part_rows)
-            if own_txn:
-                self.hms.txn_manager.commit(txn)
-        except Exception:
-            if own_txn:
-                # abort is idempotent on already-aborted transactions
-                # (commit conflicts self-abort before raising)
-                self.hms.txn_manager.abort(txn)
-            raise
-        finally:
-            if own_txn:
-                self.hms.lock_manager.release_all(txn)
-        self.hms.emit_event("INSERT", table.qualified_name,
-                            {"rows": total})
-        if own_txn:
-            self.initiator.check_table(table)
-        return DmlResult(total, "insert", table.qualified_name)
+            return sum(len(part_rows) for part_rows in routed.values())
+
+        return self._transact(table, "insert", txn, change)
 
     def _route_partitions(self, table: TableDescriptor,
                           rows: Sequence[tuple],
@@ -204,147 +239,108 @@ class TableWriter:
             self.hms.update_statistics(table, delta, partition)
 
     # ------------------------------------------------------------------ #
-    # UPDATE / DELETE
+    # UPDATE / DELETE / MERGE: a plan plus a write
+    def _target_scan(self, table: TableDescriptor) -> rel.TableScan:
+        """Scan of the full row followed by the record id; Rex built
+        over ``full_schema()`` stays valid because the id comes after."""
+        if not table.is_acid:
+            raise ExecutionError(
+                f"{table.qualified_name} is not transactional; UPDATE/"
+                "DELETE/MERGE require an ACID table")
+        return rel.TableScan(table.qualified_name, Schema(
+            table.full_schema().columns + ACID_META_COLUMNS))
+
+    def _open_write(self, table: TableDescriptor, txn: int, valid):
+        """Snapshot (unless the transaction brought one), then WriteId."""
+        if valid is None:
+            snapshot = self.hms.txn_manager.get_snapshot()
+            valid = self.hms.txn_manager.valid_write_ids(
+                snapshot, table.qualified_name)
+        return valid, self.hms.txn_manager.allocate_write_id(
+            txn, table.qualified_name)
+
+    def _found_rows(self, table: TableDescriptor, plan: rel.RelNode,
+                    txn: int, valid):
+        """Run ``plan`` once per partition static pruning kept, under
+        that partition's shared lock; yields ``(partition values,
+        location, result batch)`` for the non-empty results.  No reader
+        factory, registry or trace: DML reads stay out of the LLAP cache
+        and publish no ``scan.*`` series (they never move virtual time).
+        """
+        plan = prune_partitions(
+            push_down_predicates(fold_constants(plan)), self.hms)
+        scans = rel.find_scans(plan)
+        if not scans:               # the predicate folded to FALSE
+            return
+        kept = scans[0].pruned_partitions
+        # constant inputs (the MERGE source) are materialised once
+        ctx = ExecutionContext(
+            ScanExecutor(self.hms, self.hms.fs, None,
+                         {table.qualified_name: valid}, {}),
+            eval_ctx=self.eval_ctx, memo_digests=frozenset(
+                n.digest for n in rel.walk(plan)
+                if isinstance(n, rel.Values)))
+        targets = ([(p.values, p.location) for p in table.list_partitions()
+                    if kept is None or p.values in kept]
+                   if table.is_partitioned else [((), table.location)])
+        for values, location in targets:
+            self._lock(txn, table, values)
+            batch = execute(rel.transform_bottom_up(
+                plan, lambda n: replace(n, pruned_partitions=(values,))
+                if isinstance(n, rel.TableScan) else None), ctx)
+            if batch.num_rows:
+                yield values, location, batch
+
     def delete_where(self, table: TableDescriptor,
                      predicate: Optional[rex.RexNode],
                      txn: int | None = None,
                      valid=None) -> DmlResult:
-        return self._mutate(table, predicate, assignments=None, txn=txn,
-                            valid=valid)
+        return self._mutate(table, predicate, None, txn, valid)
 
     def update_where(self, table: TableDescriptor,
                      predicate: Optional[rex.RexNode],
                      assignments: dict[int, rex.RexNode],
                      txn: int | None = None,
                      valid=None) -> DmlResult:
-        return self._mutate(table, predicate, assignments=assignments,
-                            txn=txn, valid=valid)
+        return self._mutate(table, predicate, assignments, txn, valid)
 
     def _mutate(self, table: TableDescriptor,
                 predicate: Optional[rex.RexNode],
                 assignments: Optional[dict[int, rex.RexNode]],
-                txn: int | None = None, valid=None
-                ) -> DmlResult:
-        if not table.is_acid:
-            raise ExecutionError(
-                f"{table.qualified_name} is not transactional; UPDATE/"
-                "DELETE require an ACID table")
+                txn: int | None, valid) -> DmlResult:
+        """``[Project(] Filter(target scan, predicate) [, SET exprs)]``."""
         operation = "update" if assignments is not None else "delete"
-        # lowered once per statement, run once per partition
-        matches = (None if predicate is None
-                   else compile_predicate(predicate))
-        setters = {i: compile_expr(expr)
-                   for i, expr in (assignments or {}).items()}
-        own_txn = txn is None
-        if own_txn:
-            txn = self.hms.txn_manager.open_transaction()
-        try:
-            if valid is None:
-                snapshot = self.hms.txn_manager.get_snapshot()
-                valid = self.hms.txn_manager.valid_write_ids(
-                    snapshot, table.qualified_name)
-            write_id = self.hms.txn_manager.allocate_write_id(
-                txn, table.qualified_name)
+        plan: rel.RelNode = self._target_scan(table)
+        if predicate is not None:
+            plan = rel.Filter(plan, predicate)
+        width = len(table.schema)
+        if assignments is not None:
+            # the full row with the SET expressions in place: they see
+            # partition columns too, and the record id rides along
+            plan = rel.Project(plan, tuple(
+                assignments.get(i, rex.RexInputRef(i, c.dtype))
+                for i, c in enumerate(plan.schema)),
+                tuple(plan.schema.names()))
+
+        def change(txn: int) -> int:
+            valid_ids, write_id = self._open_write(table, txn, valid)
             total = 0
-            locations = ([(p.values, p.location)
-                          for p in table.list_partitions()]
-                         if table.is_partitioned
-                         else [((), table.location)])
-            for values, location in locations:
-                self.hms.lock_manager.acquire(
-                    txn, table.qualified_name,
-                    values if table.is_partitioned else None,
-                    LockType.SHARED)
-                batch, _ = self.reader.read(location, valid,
-                                            include_row_ids=True)
-                if batch.num_rows == 0:
-                    continue
-                affected = self._affected_mask(table, batch, values,
-                                               matches)
-                row_ids = [rid for rid, hit in
-                           zip(row_ids_from_batch(batch), affected)
-                           if hit]
-                if not row_ids:
-                    continue
-                self.writer.write_delete_delta(location, write_id,
-                                               row_ids)
+            for values, location, batch in self._found_rows(
+                    table, plan, txn, valid_ids):
+                self.writer.write_delete_delta(
+                    location, write_id, row_ids_from_batch(batch))
                 if assignments is not None:
-                    new_rows = self._updated_rows(table, batch, affected,
-                                                  setters)
                     self.writer.write_insert_delta(
-                        location, write_id, table.schema, new_rows,
+                        location, write_id, table.schema,
+                        VectorBatch(table.schema,
+                                    batch.vectors[:width]).to_rows(),
                         bloom_columns=table.bloom_filter_columns)
                 self.hms.txn_manager.record_write_set(
-                    txn, table.qualified_name,
-                    values if table.is_partitioned else (), operation)
-                total += len(row_ids)
-            if own_txn:
-                self.hms.txn_manager.commit(txn)
-        except Exception:
-            if own_txn:
-                # abort is idempotent on already-aborted transactions
-                # (commit conflicts self-abort before raising)
-                self.hms.txn_manager.abort(txn)
-            raise
-        finally:
-            if own_txn:
-                self.hms.lock_manager.release_all(txn)
-        self.hms.emit_event(operation.upper(), table.qualified_name,
-                            {"rows": total})
-        if own_txn:
-            self.initiator.check_table(table)
-        return DmlResult(total, operation, table.qualified_name)
+                    txn, table.qualified_name, values, operation)
+                total += batch.num_rows
+            return total
 
-    def _affected_mask(self, table: TableDescriptor, batch: VectorBatch,
-                       partition_values: tuple, matches):
-        import numpy as np
-        if matches is None:
-            return np.ones(batch.num_rows, dtype=bool)
-        # the predicate is over the full schema (data + partition columns)
-        eval_batch = self._with_partitions(table, batch, partition_values)
-        return matches(eval_batch, self.eval_ctx)
-
-    def _with_partitions(self, table: TableDescriptor, batch: VectorBatch,
-                         values: tuple) -> VectorBatch:
-        if not table.is_partitioned:
-            # drop the meta columns for predicate evaluation
-            names = [c.name for c in table.schema]
-            idx = [batch.schema.index_of(n) for n in names]
-            return batch.project(idx, table.schema)
-        import numpy as np
-        from ..common.vector import ColumnVector
-        names = [c.name for c in table.schema]
-        idx = [batch.schema.index_of(n) for n in names]
-        data_batch = batch.project(idx, table.schema)
-        vectors = list(data_batch.vectors)
-        columns = list(table.schema.columns)
-        for col, value in zip(table.partition_columns, values):
-            storage = col.dtype.to_storage(value)
-            np_dtype = col.dtype.numpy_dtype
-            n = batch.num_rows
-            if np_dtype == np.dtype(object):
-                data = np.empty(n, dtype=object)
-                data[:] = storage
-            else:
-                data = np.full(n, storage, dtype=np_dtype)
-            vectors.append(ColumnVector(col.dtype, data,
-                                        np.zeros(n, dtype=bool)))
-            columns.append(col)
-        return VectorBatch(Schema(columns), vectors)
-
-    def _updated_rows(self, table: TableDescriptor, batch: VectorBatch,
-                      affected, setters: dict) -> list[tuple]:
-        names = [c.name for c in table.schema]
-        idx = [batch.schema.index_of(n) for n in names]
-        data_batch = batch.project(idx, table.schema).filter(affected)
-        columns = []
-        for i in range(len(table.schema)):
-            setter = setters.get(i)
-            vector = (data_batch.vectors[i] if setter is None
-                      else setter(data_batch, self.eval_ctx))
-            columns.append(vector.to_values())
-        return [tuple(col[r] for col in columns)
-                for r in range(data_batch.num_rows)]
+        return self._transact(table, operation, txn, change)
 
     # ------------------------------------------------------------------ #
     # MERGE
@@ -353,100 +349,88 @@ class TableWriter:
               condition: rex.RexNode, when_clauses) -> DmlResult:
         """MERGE INTO target USING source ON cond WHEN ... (Section 3.2).
 
-        ``condition`` and clause expressions are Rex over the combined
-        (target ++ source) schema.
+        ``condition`` and the MATCHED clauses' expressions are Rex over
+        the combined (target ++ source) schema, NOT MATCHED ones over the
+        source.  ``Join(target scan, Values(source rows ++ their number),
+        inner, ON)`` finds the pairs; the clauses are evaluated vectorised
+        over a partition's pairs, the first that holds for a pair wins.
         """
-        if not table.is_acid:
-            raise ExecutionError(
-                f"{table.qualified_name} is not transactional")
-        import numpy as np
-        # every expression is lowered once here, not once per row pair:
-        # ON, then (action, WHEN condition, SET kernels) per MATCHED clause
-        on = compile_predicate(condition)
+        target = self._target_scan(table)
+        full_width = len(table.full_schema())
+
+        def past_id(expr: rex.RexNode) -> rex.RexNode:
+            # source columns sit behind the record id in the joined row
+            return rex.remap_refs(
+                expr, lambda i: i if i < full_width
+                else i + len(ACID_META_COLUMNS))
+
+        source_rows = source_batch.to_rows()
+        plan = rel.Join(
+            target,
+            rel.Values(Schema(source_schema.columns
+                              + (Column("__source_row__", BIGINT),)),
+                       tuple(row + (i,)
+                             for i, row in enumerate(source_rows))),
+            "inner", past_id(condition))
+        # lowered once per statement: (action, WHEN condition, SET kernels)
         matched_clauses = [
             (clause.action,
              None if clause.condition is None
-             else compile_predicate(clause.condition),
-             {i: compile_expr(expr)
+             else compile_predicate(past_id(clause.condition)),
+             {i: compile_expr(past_id(expr))
               for i, expr in clause.assignments.items()})
             for clause in when_clauses if clause.matched]
-        txn = self.hms.txn_manager.open_transaction()
-        try:
-            snapshot = self.hms.txn_manager.get_snapshot()
-            valid = self.hms.txn_manager.valid_write_ids(
-                snapshot, table.qualified_name)
-            write_id = self.hms.txn_manager.allocate_write_id(
-                txn, table.qualified_name)
+        insert_clause = next(
+            (c for c in when_clauses
+             if not c.matched and c.action == "insert"), None)
+
+        def change(txn: int) -> int:
+            valid_ids, write_id = self._open_write(table, txn, None)
             total = 0
-            locations = ([(p.values, p.location)
-                          for p in table.list_partitions()]
-                         if table.is_partitioned
-                         else [((), table.location)])
-            matched_source = np.zeros(source_batch.num_rows, dtype=bool)
-            pending_deletes: dict[str, list[RowId]] = {}
+            matched_source = np.zeros(len(source_rows), dtype=bool)
+            pending_deletes: dict[str, list] = {}
             pending_inserts: dict[str, list[tuple]] = {}
-            insert_stats: dict[str, tuple] = {}
-            wrote_mutation = False
-            for values, location in locations:
-                self.hms.lock_manager.acquire(
-                    txn, table.qualified_name,
-                    values if table.is_partitioned else None,
-                    LockType.SHARED)
-                target_batch, _ = self.reader.read(location, valid,
-                                                   include_row_ids=True)
-                if target_batch.num_rows == 0:
+            routed: dict[tuple, list] = {}      # NOT MATCHED inserts
+            for values, location, pairs in self._found_rows(
+                    table, plan, txn, valid_ids):
+                row_ids = row_ids_from_batch(pairs)
+                if len(set(row_ids)) < len(row_ids):
+                    raise ExecutionError(
+                        "MERGE: multiple source rows match one target row")
+                matched_source[pairs.vectors[-1].data] = True
+                pending = np.ones(pairs.num_rows, dtype=bool)
+                updated: dict[int, tuple] = {}  # pair position -> new row
+                for action, holds, setters in matched_clauses:
+                    mask = (pending if holds is None
+                            else pending & holds(pairs, self.eval_ctx))
+                    pending = pending & ~mask
+                    if action == "update" and mask.any():
+                        chosen = pairs.filter(mask)
+                        columns = [
+                            (setters[i](chosen, self.eval_ctx)
+                             if i in setters else chosen.vectors[i]
+                             ).to_values()
+                            for i in range(len(table.schema))]
+                        updated.update(zip(np.nonzero(mask)[0].tolist(),
+                                           zip(*columns)))
+                if pending.all():
                     continue
-                data_batch = self._with_partitions(table, target_batch,
-                                                   values)
-                row_ids = row_ids_from_batch(target_batch)
-                # pair every target row with every source row (hash join
-                # would be an optimization; MERGE sources are small here)
-                for ti in range(data_batch.num_rows):
-                    t_row = data_batch.slice(ti, ti + 1)
-                    pair = _cross_pair(t_row, source_batch,
-                                       source_schema)
-                    hits = np.nonzero(on(pair, self.eval_ctx))[0]
-                    if len(hits) > 1:
-                        raise ExecutionError(
-                            "MERGE: multiple source rows match one "
-                            "target row")
-                    if len(hits) == 1:
-                        si = int(hits[0])
-                        matched_source[si] = True
-                        pair_row = pair.take(np.array([si]))
-                        action, setters = self._matched_action(
-                            matched_clauses, pair_row)
-                        if action == "delete":
-                            pending_deletes.setdefault(
-                                location, []).append(row_ids[ti])
-                            total += 1
-                        elif action == "update":
-                            pending_deletes.setdefault(
-                                location, []).append(row_ids[ti])
-                            pending_inserts.setdefault(
-                                location, []).append(
-                                self._merge_update_row(
-                                    table, pair_row, setters))
-                            total += 1
-                if location in pending_deletes:
-                    self.hms.txn_manager.record_write_set(
-                        txn, table.qualified_name,
-                        values if table.is_partitioned else (), "update")
-                    wrote_mutation = True
-            # WHEN NOT MATCHED THEN INSERT
-            insert_clause = next(
-                (c for c in when_clauses
-                 if not c.matched and c.action == "insert"), None)
+                pending_deletes[location] = [
+                    rid for rid, kept in zip(row_ids, pending) if not kept]
+                if updated:
+                    # pair order is target-row order
+                    pending_inserts[location] = [
+                        updated[i] for i in sorted(updated)]
+                self.hms.txn_manager.record_write_set(
+                    txn, table.qualified_name, values, "update")
+                total += len(pending_deletes[location])
             if insert_clause is not None:
-                insert_values = [compile_expr(expr) for expr
-                                 in insert_clause.insert_values]
-                new_rows = []
-                for si in np.nonzero(~matched_source)[0]:
-                    row_batch = source_batch.slice(int(si), int(si) + 1)
-                    row = tuple(
-                        value(row_batch, self.eval_ctx).value(0)
-                        for value in insert_values)
-                    new_rows.append(row)
+                new_rows = project_rows(
+                    source_schema,
+                    [row for row, hit in zip(source_rows, matched_source)
+                     if not hit],
+                    insert_clause.condition, insert_clause.insert_values,
+                    self.eval_ctx)
                 if new_rows:
                     # dynamic routing for partitioned targets
                     routed = self._route_partitions(table, new_rows, {})
@@ -455,9 +439,6 @@ class TableWriter:
                             table, part_values, create=True)
                         pending_inserts.setdefault(location,
                                                    []).extend(part_rows)
-                        insert_stats[location] = (
-                            part_rows,
-                            part_values if table.is_partitioned else None)
                     self.hms.txn_manager.record_write_set(
                         txn, table.qualified_name, (), "insert")
                     total += len(new_rows)
@@ -469,45 +450,9 @@ class TableWriter:
                 self.writer.write_insert_delta(
                     location, write_id, table.schema, rows,
                     bloom_columns=table.bloom_filter_columns)
-            for location, (part_rows, part_values) in insert_stats.items():
-                self._merge_stats(table, part_rows, part_values)
-            self.hms.txn_manager.commit(txn)
-        except Exception:
-            # abort is idempotent on already-aborted transactions
-            # (commit conflicts self-abort before raising)
-            self.hms.txn_manager.abort(txn)
-            raise
-        finally:
-            self.hms.lock_manager.release_all(txn)
-        self.hms.emit_event("MERGE", table.qualified_name, {"rows": total})
-        self.initiator.check_table(table)
-        return DmlResult(total, "merge", table.qualified_name)
+            for part_values, part_rows in routed.items():
+                self._merge_stats(table, part_rows, part_values
+                                  if table.is_partitioned else None)
+            return total
 
-    def _matched_action(self, matched_clauses, pair_row):
-        """``(action, SET kernels)`` of the first WHEN MATCHED clause
-        whose condition holds; ``(None, None)`` when none does."""
-        for action, holds, setters in matched_clauses:
-            if holds is None or holds(pair_row, self.eval_ctx)[0]:
-                return action, setters
-        return None, None
-
-    def _merge_update_row(self, table: TableDescriptor, pair_row,
-                          setters: dict) -> tuple:
-        values = []
-        for i in range(len(table.schema)):
-            setter = setters.get(i)
-            vector = (pair_row.vectors[i] if setter is None
-                      else setter(pair_row, self.eval_ctx))
-            values.append(vector.value(0))
-        return tuple(values)
-
-
-def _cross_pair(target_row: VectorBatch, source: VectorBatch,
-                source_schema: Schema) -> VectorBatch:
-    """Combine one target row with every source row."""
-    import numpy as np
-    n = source.num_rows
-    repeated = target_row.take(np.zeros(n, dtype=np.int64))
-    schema = repeated.schema.concat(source_schema, dedupe=True)
-    return VectorBatch(schema, list(repeated.vectors) +
-                       list(source.vectors))
+        return self._transact(table, "merge", None, change)

@@ -22,7 +22,7 @@ from ..config import KNOBS, SET_NAMES, HiveConf
 from ..errors import (AnalysisError, CatalogError, ExecutionError,
                       HiveError, PlanInvariantError, QueryKilledError,
                       TransactionError, VertexFailureError)
-from ..exec.compile import EvalContext, evaluate, evaluate_predicate
+from ..exec.compile import EvalContext
 from ..exec.operators import ExecutionContext, execute
 from ..faults import FaultRegistry
 from ..fs import SimFileSystem
@@ -47,13 +47,14 @@ from ..optimizer.mv_rewrite import (ViewDefinition, build_view_definition,
                                     extract_spja)
 from ..optimizer.rules_basic import fold_constants, push_down_predicates
 from ..plan import relnodes as rel
+from ..plan.rexnodes import RexInputRef, RexLiteral
 from ..runtime.scan import ScanExecutor
 from ..runtime.tez import SLOTS_PER_NODE, QueryMetrics, TezRunner
 from ..sql import ast_nodes as ast
 from ..sql.analyzer import Analyzer, Scope, ScopeEntry, _ExprConverter
 from ..sql.functions import NON_CACHEABLE_FUNCTIONS
 from ..sql.parser import parse_statement
-from .dml import DmlResult, TableWriter
+from .dml import DmlResult, TableWriter, project_rows
 from .mv import (RebuildReport, changed_sources, classify_changes,
                  snapshot_write_ids, source_tables_of)
 from .results_cache import QueryResultsCache
@@ -214,7 +215,7 @@ class HiveServer2:
         count = 0
         while worker.run_one() is not None:
             count += 1
-        CompactionCleaner(self.hms).run()
+        CompactionCleaner(self.hms, self.llap_factory.forget).run()
         return count
 
     # -- internals shared by sessions ------------------------------------------------ #
@@ -1197,15 +1198,10 @@ class Session:
                              delta_rows=len(delta_rows))
 
     def _read_view_rows(self, view: TableDescriptor) -> list:
-        if view.storage_handler is not None:
-            handler = self.server.storage_handlers[view.storage_handler]
-            rows, _ = handler.scan_table(view,
-                                         [c.name for c in view.schema])
-            return list(rows)
-        from ..acid.reader import AcidReader
-        reader = AcidReader(self.fs)
-        batch, _ = reader.read_plain(view.location, view.schema)
-        return batch.to_rows()
+        scan = ScanExecutor(self.hms, self.fs, None, {}, {},
+                            self.server.storage_handlers)
+        return scan(rel.TableScan(view.qualified_name,
+                                  view.schema)).to_rows()
 
     # ------------------------------------------------------------------ #
     # DML
@@ -1258,7 +1254,6 @@ class Session:
                 row = []
                 for expr in value_row:
                     folded = fold_rex(converter.convert(expr))
-                    from ..plan.rexnodes import RexLiteral
                     if not isinstance(folded, RexLiteral):
                         raise AnalysisError(
                             "INSERT VALUES must be constant expressions")
@@ -1301,13 +1296,12 @@ class Session:
         source_plan = analyzer.analyze_query(
             parse_query(source_sql, self.conf))
         source_result = self._compile_and_run(source_plan)
-        from ..common.vector import VectorBatch
         source_schema = Schema([
             Column(name, dtype) for name, dtype in
             zip(source_result.column_names, source_plan.schema.types())])
-        source_batch = VectorBatch.from_rows(source_schema,
-                                             source_result.rows)
         scope = Scope([ScopeEntry(alias.lower(), source_schema, 0)])
+        star = [RexInputRef(i, column.dtype)
+                for i, column in enumerate(source_schema)]
 
         # branch evaluation + single-transaction writes
         writer = self._writer()
@@ -1330,23 +1324,19 @@ class Session:
                         "multi-insert into handler-backed tables is not "
                         "supported")
                 spec = branch.query.body
-                batch = source_batch
                 converter = _ExprConverter(analyzer, scope, None, {})
-                if spec.where is not None:
-                    condition = converter.convert(spec.where)
-                    mask = evaluate_predicate(
-                        condition, batch, writer.eval_ctx)
-                    batch = batch.filter(mask)
-                columns = []
+                exprs = []
                 for item in spec.select_items:
                     if isinstance(item.expr, ast.Star):
-                        columns.extend(batch.vectors)
-                        continue
-                    expr = converter.convert(item.expr)
-                    columns.append(evaluate(
-                        expr, batch, writer.eval_ctx))
-                rows = [tuple(col.value(i) for col in columns)
-                        for i in range(batch.num_rows)]
+                        exprs.extend(star)
+                    else:
+                        exprs.append(converter.convert(item.expr))
+                # each branch is Project(Filter(Values(source rows)))
+                rows = project_rows(
+                    source_schema, source_result.rows,
+                    None if spec.where is None
+                    else converter.convert(spec.where),
+                    exprs, writer.eval_ctx)
                 result = writer.insert_rows(
                     table, rows, dict(branch.partition_spec),
                     txn=txn, stats_sink=pending_stats)

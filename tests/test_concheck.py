@@ -200,6 +200,40 @@ class TestStaticAnalysis:
         """)
         assert report.findings == []
 
+    def test_class_qualified_call_names_its_one_target(self):
+        """``obj.merge()`` sprays an edge to every class defining
+        ``merge``; ``Stats.merge(obj, other)`` resolves to that method
+        alone, so the same-named method that takes a lock stays out."""
+        template = """
+            import threading
+
+            class Stats:
+                def merge(self, other):
+                    return self
+
+            class Writer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def merge(self, other):
+                    with self._lock:
+                        pass
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def update(self, existing, delta):
+                    with self._lock:
+                        return {call}
+            """
+        by_name = analyze(template.replace(
+            "{call}", "existing.merge(delta)"))
+        assert ("Store._lock", "Writer._lock") in by_name.edge_pairs()
+        exact = analyze(template.replace(
+            "{call}", "Stats.merge(existing, delta)"))
+        assert exact.edge_pairs() == []
+
     def test_sync_seam_factories_declare_locks(self):
         report = analyze("""
             from repro.common import sync
