@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..common.vector import VectorBatch
 from ..config import HiveConf
 from ..formats.orc import OrcReader
 from ..fs import SimFileSystem
@@ -27,8 +28,8 @@ from ..metastore.hms import HiveMetastore
 from ..metastore.catalog import TableDescriptor
 from ..metastore.txn import TransactionManager
 from .layout import parse_acid_dirs, select_acid_state
-from .reader import AcidReader
-from .writer import AcidWriter, BUCKET_FILE, DELETE_SCHEMA
+from .reader import AcidReader, valid_mask
+from .writer import AcidWriter, BUCKET_FILE, record_id_order
 
 
 @dataclass
@@ -125,13 +126,6 @@ class CompactionWorker:
                                   type=kind).inc(report.merged_rows)
         return report
 
-    def _current_state(self, location: str):
-        txn = self.hms.txn_manager
-        snapshot = txn.get_snapshot()
-        names = [d.rsplit("/", 1)[-1]
-                 for d in self.hms.fs.list_dirs(location)]
-        return names, snapshot
-
     def _major(self, request, table: TableDescriptor,
                location: str) -> CompactionReport:
         """Fold base + deltas - deletes into a new base (deletes history)."""
@@ -147,7 +141,7 @@ class CompactionWorker:
         state = select_acid_state(names, valid)
         obsolete = state.all_read_dirs() + state.obsolete
         out_dir = self.writer.write_base(
-            location, valid.high_watermark, batch.schema, batch.to_rows(),
+            location, valid.high_watermark, batch,
             bloom_columns=table.bloom_filter_columns)
         return CompactionReport(request, batch.num_rows,
                                 out_dir.rsplit("/", 1)[0], obsolete)
@@ -165,44 +159,29 @@ class CompactionWorker:
         merged_rows = 0
         output_dir = ""
 
-        if len(state.insert_deltas) > 1:
-            batches = []
-            schema = None
-            for delta in state.insert_deltas:
-                reader = OrcReader(self.hms.fs.read(
-                    f"{location}/{delta.name}/{BUCKET_FILE}"))
-                batch = reader.read_all()
-                # drop rows from aborted transactions while merging
-                rows = [r for r in batch.to_rows()
-                        if valid.is_valid(r[0])]
-                schema = reader.schema
-                batches.append(rows)
-                obsolete.append(delta.name)
-            all_rows = [r for rows in batches for r in rows]
-            all_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-            lo = min(d.min_write_id for d in state.insert_deltas)
-            hi = max(d.max_write_id for d in state.insert_deltas)
+        for deltas, is_delete, bloom_columns in (
+                (state.insert_deltas, False, table.bloom_filter_columns),
+                (state.delete_deltas, True, ())):
+            if len(deltas) < 2:
+                continue
+            batches = [OrcReader(self.hms.fs.read(
+                f"{location}/{d.name}/{BUCKET_FILE}")).read_all()
+                for d in deltas]
+            merged = VectorBatch.concat(batches[-1].schema, batches)
+            # drop rows from aborted transactions while merging
+            merged = merged.filter(valid_mask(valid, merged.vectors[0].data))
+            # sorted by record id; a tombstone's comes after the
+            # deleting WriteId
+            first = 1 if is_delete else 0
+            merged = merged.take(record_id_order(
+                merged.vectors[first:first + 3]))
             path = self.writer.write_merged_delta(
-                location, lo, hi, schema, all_rows, is_delete=False,
-                bloom_columns=table.bloom_filter_columns)
-            output_dir = path.rsplit("/", 1)[0]
-            merged_rows += len(all_rows)
-
-        if len(state.delete_deltas) > 1:
-            all_rows = []
-            for delta in state.delete_deltas:
-                reader = OrcReader(self.hms.fs.read(
-                    f"{location}/{delta.name}/{BUCKET_FILE}"))
-                all_rows.extend(r for r in reader.read_all().to_rows()
-                                if valid.is_valid(r[0]))
-                obsolete.append(delta.name)
-            all_rows.sort(key=lambda r: (r[1], r[2], r[3]))
-            lo = min(d.min_write_id for d in state.delete_deltas)
-            hi = max(d.max_write_id for d in state.delete_deltas)
-            path = self.writer.write_merged_delta(
-                location, lo, hi, DELETE_SCHEMA, all_rows, is_delete=True)
+                location, min(d.min_write_id for d in deltas),
+                max(d.max_write_id for d in deltas), merged,
+                is_delete=is_delete, bloom_columns=bloom_columns)
+            obsolete.extend(d.name for d in deltas)
             output_dir = output_dir or path.rsplit("/", 1)[0]
-            merged_rows += len(all_rows)
+            merged_rows += merged.num_rows
 
         return CompactionReport(request, merged_rows, output_dir, obsolete)
 

@@ -25,7 +25,7 @@ from ..formats.orc import OrcReader, SargPredicate
 from ..fs import SimFileSystem
 from ..metastore.txn import ValidWriteIdList
 from .layout import select_acid_state
-from .writer import ACID_META_COLUMNS, BUCKET_FILE, RowId, acid_schema
+from .writer import ACID_META_COLUMNS, BUCKET_FILE, id_tuples, record_ids
 
 META_NAMES = [c.name for c in ACID_META_COLUMNS]
 
@@ -194,14 +194,9 @@ class AcidReader:
             metrics.metadata_bytes += reader.metadata_bytes
             batch = reader.read_all()
             metrics.bytes_read += self.fs.status(path).length
-            wids = batch.column("__writeid__").data
-            orig_wids = batch.column("__orig_writeid__").data
-            buckets = batch.column("__bucket__").data
-            row_ids = batch.column("__rowid__").data
-            for i in range(batch.num_rows):
-                if valid.is_valid(int(wids[i])):
-                    deleted.add((int(orig_wids[i]), int(buckets[i]),
-                                 int(row_ids[i])))
+            # tombstones of aborted or not-yet-visible deletes do not count
+            batch = batch.filter(valid_mask(valid, batch.vectors[0].data))
+            deleted.update(id_tuples(batch.vectors[1:]))
         metrics.delete_keys = len(deleted)
         return deleted
 
@@ -232,22 +227,18 @@ class AcidReader:
             return None
         merged = VectorBatch.concat(batches[0].schema, batches)
 
-        wids = merged.column("__writeid__").data
-        keep = np.ones(merged.num_rows, dtype=bool)
         if check_row_validity:
-            for i in range(merged.num_rows):
-                if not valid.is_valid(int(wids[i])):
-                    keep[i] = False
+            merged = merged.filter(valid_mask(
+                valid, merged.column("__writeid__").data))
         if deleted:
-            buckets = merged.column("__bucket__").data
-            row_ids = merged.column("__rowid__").data
-            for i in range(merged.num_rows):
-                if keep[i] and (int(wids[i]), int(buckets[i]),
-                                int(row_ids[i])) in deleted:
-                    keep[i] = False
-                    metrics.rows_deleted += 1
-        if not keep.all():
-            merged = merged.filter(keep)
+            # one C-level membership pass over the surviving record ids
+            gone = np.fromiter(
+                map(deleted.__contains__,
+                    id_tuples(record_ids(merged).vectors)),
+                dtype=bool, count=merged.num_rows)
+            if gone.any():
+                metrics.rows_deleted += int(gone.sum())
+                merged = merged.filter(~gone)
 
         out_names = (META_NAMES + data_names) if include_row_ids else data_names
         indices = [merged.schema.index_of(n) for n in out_names]
@@ -273,10 +264,9 @@ class AcidReader:
         return Schema([])
 
 
-def row_ids_from_batch(batch: VectorBatch) -> list[RowId]:
-    """Extract :class:`RowId` objects from a batch that includes meta cols."""
-    wids = batch.column("__writeid__").data
-    buckets = batch.column("__bucket__").data
-    rids = batch.column("__rowid__").data
-    return [RowId(int(wids[i]), int(buckets[i]), int(rids[i]))
-            for i in range(batch.num_rows)]
+def valid_mask(valid: ValidWriteIdList, wids: np.ndarray) -> np.ndarray:
+    """Which of ``wids`` the snapshot can see: one ``is_valid`` call per
+    distinct WriteId."""
+    distinct, inverse = np.unique(wids, return_inverse=True)
+    return np.fromiter(map(valid.is_valid, distinct.tolist()), dtype=bool,
+                       count=len(distinct))[inverse]

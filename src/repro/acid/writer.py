@@ -10,11 +10,13 @@ the deleted record; updates are split into a delete plus an insert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ..common.rows import Column, Schema
 from ..common.types import BIGINT, INT
+from ..common.vector import ColumnVector, VectorBatch
 from ..errors import HiveError
 from ..formats.orc import OrcWriter
 from ..fs import SimFileSystem
@@ -38,20 +40,33 @@ DELETE_SCHEMA = Schema([
 BUCKET_FILE = "bucket_00000"
 
 
-@dataclass(frozen=True)
-class RowId:
-    """Unique record identifier within a table (WriteId, FileId, RowId)."""
-
-    write_id: int
-    bucket: int
-    row_id: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.write_id, self.bucket, self.row_id)
+RECORD_ID_SCHEMA = Schema(ACID_META_COLUMNS)
 
 
 def acid_schema(data_schema: Schema) -> Schema:
     return Schema(list(ACID_META_COLUMNS) + list(data_schema.columns))
+
+
+def record_ids(batch: VectorBatch) -> VectorBatch:
+    """The record-id columns of a batch that carries them, by name."""
+    return batch.project([batch.schema.index_of(c.name)
+                          for c in ACID_META_COLUMNS], RECORD_ID_SCHEMA)
+
+
+def id_tuples(vectors: Sequence[ColumnVector]):
+    """Record-id vectors as ``(WriteId, FileId, RowId)`` tuples of Python
+    ints, built without a Python-level loop (a set wants hashables)."""
+    return zip(*(v.data.tolist() for v in vectors))
+
+
+def record_id_order(vectors: Sequence[ColumnVector]) -> np.ndarray:
+    """Row positions in ``(WriteId, FileId, RowId)`` order; ``np.lexsort``
+    takes the least significant key first."""
+    return np.lexsort([v.data for v in reversed(vectors)])
+
+
+def _constant(dtype, value: int, n: int) -> ColumnVector:
+    return ColumnVector(dtype, np.full(n, value, dtype=dtype.numpy_dtype))
 
 
 class AcidWriter:
@@ -63,7 +78,7 @@ class AcidWriter:
 
     # -- transactional writes ------------------------------------------------ #
     def write_insert_delta(self, location: str, write_id: int,
-                           schema: Schema, rows: Sequence[tuple],
+                           batch: VectorBatch,
                            bloom_columns: Sequence[str] = ()) -> str:
         """Create ``delta_W_W[_S]/bucket_00000`` with fresh RowIds.
 
@@ -76,20 +91,26 @@ class AcidWriter:
             raise HiveError("write_id must be >= 1")
         directory, statement_id = self._statement_dir(
             location, f"delta_{write_id}_{write_id}")
-        meta_rows = [(write_id, statement_id, i, *row)
-                     for i, row in enumerate(rows)]
-        return self._write_bucket(directory, acid_schema(schema), meta_rows,
-                                  bloom_columns)
+        n = batch.num_rows
+        meta = [_constant(BIGINT, write_id, n),
+                _constant(INT, statement_id, n),
+                ColumnVector(BIGINT, np.arange(n, dtype=np.int64))]
+        return self._write_bucket(
+            directory, VectorBatch(acid_schema(batch.schema),
+                                   meta + batch.vectors), bloom_columns)
 
     def write_delete_delta(self, location: str, write_id: int,
-                           row_ids: Sequence[RowId]) -> str:
-        """Create ``delete_delta_W_W[_S]`` with tombstones."""
+                           ids: VectorBatch) -> str:
+        """Create ``delete_delta_W_W[_S]`` with tombstones for ``ids``
+        (:func:`record_ids` of the rows found)."""
         directory, _ = self._statement_dir(
             location, f"delete_delta_{write_id}_{write_id}")
-        rows = [(write_id, r.write_id, r.bucket, r.row_id)
-                # sorted so the reader's merge stays sequential
-                for r in sorted(row_ids, key=RowId.as_tuple)]
-        return self._write_bucket(directory, DELETE_SCHEMA, rows, ())
+        # sorted so the reader's merge stays sequential
+        ids = ids.take(record_id_order(ids.vectors))
+        return self._write_bucket(
+            directory, VectorBatch(DELETE_SCHEMA, [
+                _constant(BIGINT, write_id, ids.num_rows)] + ids.vectors),
+            ())
 
     def _statement_dir(self, location: str,
                        base_name: str) -> tuple[str, int]:
@@ -103,25 +124,19 @@ class AcidWriter:
 
     # -- compaction products ------------------------------------------------- #
     def write_merged_delta(self, location: str, min_wid: int, max_wid: int,
-                           schema_with_meta: Schema,
-                           meta_rows: Sequence[tuple],
-                           is_delete: bool = False,
+                           batch: VectorBatch, is_delete: bool = False,
                            bloom_columns: Sequence[str] = ()) -> str:
         prefix = "delete_delta" if is_delete else "delta"
         directory = f"{location}/{prefix}_{min_wid}_{max_wid}"
-        return self._write_bucket(directory, schema_with_meta, meta_rows,
-                                  bloom_columns)
+        return self._write_bucket(directory, batch, bloom_columns)
 
-    def write_base(self, location: str, write_id: int,
-                   schema_with_meta: Schema, meta_rows: Sequence[tuple],
+    def write_base(self, location: str, write_id: int, batch: VectorBatch,
                    bloom_columns: Sequence[str] = ()) -> str:
-        directory = f"{location}/base_{write_id}"
-        return self._write_bucket(directory, schema_with_meta, meta_rows,
+        return self._write_bucket(f"{location}/base_{write_id}", batch,
                                   bloom_columns)
 
     # -- non-transactional writes --------------------------------------------- #
-    def write_plain(self, location: str, schema: Schema,
-                    rows: Sequence[tuple],
+    def write_plain(self, location: str, batch: VectorBatch,
                     bloom_columns: Sequence[str] = (),
                     file_seq: int = 0,
                     file_format: str = "orc") -> str:
@@ -130,26 +145,23 @@ class AcidWriter:
         ``file_format`` selects the SerDe: the ORC-like columnar
         container (default) or Hive's delimited text format.
         """
-        path = f"{location}/part-{file_seq:05d}"
         if file_format == "text":
             from ..formats.text import TextWriter
-            writer = TextWriter(schema)
-            writer.write_rows(rows)
-            self.fs.create(path, writer.finish())
-            return path
-        writer = OrcWriter(schema, self.row_group_size,
-                           bloom_columns=bloom_columns)
-        writer.write_rows(rows)
-        self.fs.create(path, writer.finish())
-        return path
+            writer = TextWriter(batch.schema)
+        else:
+            writer = OrcWriter(batch.schema, self.row_group_size,
+                               bloom_columns=bloom_columns)
+        return self._write(f"{location}/part-{file_seq:05d}", writer, batch)
 
     # -- internals ------------------------------------------------------------ #
-    def _write_bucket(self, directory: str, schema: Schema,
-                      rows: Sequence[tuple],
+    def _write_bucket(self, directory: str, batch: VectorBatch,
                       bloom_columns: Sequence[str]) -> str:
-        path = f"{directory}/{BUCKET_FILE}"
-        writer = OrcWriter(schema, self.row_group_size,
-                           bloom_columns=bloom_columns)
-        writer.write_rows(rows)
+        return self._write(
+            f"{directory}/{BUCKET_FILE}",
+            OrcWriter(batch.schema, self.row_group_size,
+                      bloom_columns=bloom_columns), batch)
+
+    def _write(self, path: str, writer, batch: VectorBatch) -> str:
+        writer.write_batch(batch)
         self.fs.create(path, writer.finish())
         return path

@@ -74,8 +74,8 @@ class BloomFilter:
         as ``(h1 % m + i * (h2 % m)) % m`` so it fits int64 — the same
         positions as the scalar methods, which work in Python ints.
         """
-        distinct, inverse = _distinct(values)
-        hashes = np.array([_double_hash(v) for v in distinct],
+        values, inverse = distinct(values)
+        hashes = np.array([_double_hash(v) for v in values],
                           dtype=np.uint64).reshape(-1, 2)
         h1, h2 = (hashes % np.uint64(self.num_bits)).astype(np.int64).T
         steps = np.arange(self.num_hashes, dtype=np.int64)
@@ -106,7 +106,7 @@ def _double_hash(value) -> tuple[int, int]:
     return h1, h2
 
 
-def _distinct(values) -> tuple[list, np.ndarray]:
+def distinct(values) -> tuple[list, np.ndarray]:
     """The distinct plain-Python values of ``values`` and, per input, its
     index among them.
 

@@ -86,6 +86,20 @@ class ColumnVector:
         return [None if self.nulls[i] else convert(self.data[i])
                 for i in range(len(self.data))]
 
+    def bounds(self) -> tuple:
+        """``(min, max)`` in storage representation over the values that
+        are neither NULL nor NaN (a NaN has no place in an order);
+        ``(None, None)`` when there are none.  Of equal extremes the
+        first wins, so ``0.0`` before ``-0.0`` stays ``0.0``."""
+        data = self.data[~self.nulls] if self.nulls.any() else self.data
+        if data.dtype.kind == "f":
+            data = data[~np.isnan(data)]
+        if not len(data):
+            return None, None
+        if data.dtype == np.dtype(object):
+            return min(data), max(data)
+        return data[data.argmin()].item(), data[data.argmax()].item()
+
     @staticmethod
     def concat(vectors: Sequence["ColumnVector"]) -> "ColumnVector":
         if not vectors:

@@ -91,8 +91,5 @@ class ByteReader:
     def read_str(self) -> str:
         return self.read_blob().decode("utf-8")
 
-    def tell(self) -> int:
-        return self._pos
-
     def remaining(self) -> int:
         return len(self._data) - self._pos

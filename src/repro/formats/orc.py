@@ -103,15 +103,6 @@ class ColumnStats:
     max_value: object = None
     null_count: int = 0
 
-    def update(self, value) -> None:
-        if value is None:
-            self.null_count += 1
-            return
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-
 
 @dataclass
 class ColumnChunkMeta:
@@ -127,11 +118,6 @@ class ColumnChunkMeta:
 class RowGroupMeta:
     num_rows: int
     columns: list[ColumnChunkMeta] = field(default_factory=list)
-
-    def byte_range(self) -> tuple[int, int]:
-        start = min(c.offset for c in self.columns)
-        end = max(c.offset + c.length for c in self.columns)
-        return start, end - start
 
 
 # --------------------------------------------------------------------------- #
@@ -346,22 +332,12 @@ class OrcWriter:
             offset = self._writer.size()
             _encode_stream(self._writer, col.dtype, vector)
             length = self._writer.size() - offset
-            stats = ColumnStats()
+            stats = ColumnStats(*vector.bounds(),
+                                null_count=int(vector.nulls.sum()))
             bloom = None
-            values = vector.data
-            nulls = vector.nulls
             if col.name.lower() in self.bloom_columns:
                 bloom = BloomFilter(max(chunk.num_rows, 8), self.bloom_fpp)
-            for i in range(chunk.num_rows):
-                if nulls[i]:
-                    stats.update(None)
-                    continue
-                value = values[i]
-                if isinstance(value, np.generic):
-                    value = value.item()
-                stats.update(value)
-                if bloom is not None:
-                    bloom.add(value)
+                bloom.add_all(vector.data[~vector.nulls])
             meta.columns.append(
                 ColumnChunkMeta(offset, length, stats, bloom))
         self._row_groups.append(meta)

@@ -76,11 +76,6 @@ class FileEntry:
     def length(self) -> int:
         return len(self.data)
 
-    @property
-    def etag(self) -> tuple[int, int]:
-        """Cache-validity token: unique id + length (Section 5.1)."""
-        return (self.file_id, len(self.data))
-
 
 @dataclass(frozen=True)
 class FileStatus:

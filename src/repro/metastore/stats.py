@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..common.bloom import distinct
 from ..common.hll import HyperLogLog
+from ..common.vector import ColumnVector, VectorBatch
 from ..errors import HiveError
 
 _HLL_PRECISION = 12
@@ -32,31 +34,34 @@ class ColumnStatistics:
         default_factory=lambda: HyperLogLog(_HLL_PRECISION))
 
     # -- updates ----------------------------------------------------------- #
-    def update(self, value) -> None:
-        if value is None:
-            self.null_count += 1
-            return
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-        self.ndv_sketch.add(value)
+    def update_vector(self, vector: ColumnVector) -> None:
+        """Fold a column in.  Bounds come from :meth:`ColumnVector.bounds`
+        (NULL and NaN have none); the sketch sees each *distinct* value
+        once — a repeat moves no register — in its user-facing form, the
+        one ``update_all`` is given."""
+        convert = vector.dtype.from_storage
+        self.null_count += int(vector.nulls.sum())
+        low, high = vector.bounds()
+        self.min_value = _merge_min(self.min_value, convert(low))
+        self.max_value = _merge_max(self.max_value, convert(high))
+        for value in distinct(vector.data[~vector.nulls])[0]:
+            self.ndv_sketch.add(convert(value))
 
     def update_all(self, values: Iterable) -> None:
+        """The same fold over plain Python values (``None`` is NULL)."""
         for value in values:
-            self.update(value)
+            if value is None:
+                self.null_count += 1
+                continue
+            self.ndv_sketch.add(value)
+            if value == value:          # a NaN counts, but bounds nothing
+                self.min_value = _merge_min(self.min_value, value)
+                self.max_value = _merge_max(self.max_value, value)
 
     # -- queries ------------------------------------------------------------ #
     @property
     def ndv(self) -> int:
         return max(1, self.ndv_sketch.cardinality())
-
-    def range_width(self) -> Optional[float]:
-        """Numeric range, if the column is numeric with known bounds."""
-        if isinstance(self.min_value, (int, float)) and isinstance(
-                self.max_value, (int, float)):
-            return float(self.max_value) - float(self.min_value)
-        return None
 
     # -- merging ------------------------------------------------------------ #
     def merge(self, other: "ColumnStatistics") -> "ColumnStatistics":
@@ -103,16 +108,19 @@ class TableStatistics:
         return clone
 
     @classmethod
-    def from_rows(cls, schema, rows, row_bytes: int = 0) -> "TableStatistics":
-        """Compute full statistics from materialized rows."""
-        stats = cls(row_count=len(rows), total_bytes=row_bytes)
-        for i, col in enumerate(schema):
-            column_stats = ColumnStatistics()
-            column_stats.update_all(row[i] for row in rows)
-            stats.columns[col.name.lower()] = column_stats
-        if row_bytes == 0:
-            stats.total_bytes = len(rows) * schema.row_width_bytes()
+    def from_batch(cls, batch: VectorBatch) -> "TableStatistics":
+        """Full statistics of the rows a batch holds."""
+        stats = cls(batch.num_rows,
+                    batch.num_rows * batch.schema.row_width_bytes())
+        for col, vector in zip(batch.schema, batch.vectors):
+            column = stats.columns[col.name.lower()] = ColumnStatistics()
+            column.update_vector(vector)
         return stats
+
+    @classmethod
+    def from_rows(cls, schema, rows) -> "TableStatistics":
+        """The rows door: values from outside the engine."""
+        return cls.from_batch(VectorBatch.from_rows(schema, rows))
 
 
 def _merge_min(a, b):

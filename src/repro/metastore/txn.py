@@ -201,13 +201,6 @@ class TransactionManager:
                     if t.state is TxnState.OPEN
                     and self._clock_s - t.last_heartbeat_s > timeout_s]
 
-    def last_heartbeat_of(self, txn_id: int) -> float:
-        with self._lock:
-            txn = self._txns.get(txn_id)
-            if txn is None:
-                raise TransactionError(f"unknown txn {txn_id}")
-            return txn.last_heartbeat_s
-
     def commit(self, txn_id: int) -> None:
         """Commit; raises :class:`WriteConflictError` under first-commit-wins.
 

@@ -497,7 +497,3 @@ def transform_bottom_up(rel: RelNode, fn) -> RelNode:
 
 def find_scans(rel: RelNode) -> list[TableScan]:
     return [n for n in walk(rel) if isinstance(n, TableScan)]
-
-
-def node_count(rel: RelNode) -> int:
-    return sum(1 for _ in walk(rel))

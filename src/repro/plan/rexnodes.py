@@ -86,9 +86,6 @@ class RexCall(RexNode):
         inner = ", ".join(o.digest for o in self.operands)
         return f"{self.op}({inner})"
 
-    def is_boolean(self) -> bool:
-        return self.op in BOOLEAN_OPS or self.dtype == BOOLEAN
-
 
 @dataclass(frozen=True)
 class AggregateCall:
@@ -170,10 +167,6 @@ def _collect_refs(expr: RexNode, refs: set[int]) -> None:
     elif isinstance(expr, RexCall):
         for operand in expr.operands:
             _collect_refs(operand, refs)
-
-
-def is_literal(expr: RexNode) -> bool:
-    return isinstance(expr, RexLiteral)
 
 
 def type_errors(expr: RexNode, columns) -> list[str]:

@@ -26,11 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..acid.compactor import CompactionInitiator
-from ..acid.reader import row_ids_from_batch
-from ..acid.writer import ACID_META_COLUMNS, AcidWriter
+from ..acid.writer import (ACID_META_COLUMNS, AcidWriter, id_tuples,
+                           record_ids)
 from ..common.rows import Column, Schema
 from ..common.types import BIGINT
-from ..common.vector import VectorBatch
+from ..common.vector import ColumnVector, VectorBatch, dict_codes
 from ..config import HiveConf
 from ..errors import AnalysisError, ExecutionError
 from ..exec.compile import EvalContext, compile_expr, compile_predicate
@@ -56,7 +56,7 @@ class DmlResult:
 def project_rows(schema: Schema, rows: Sequence[tuple],
                  condition: Optional[rex.RexNode],
                  exprs: Sequence[rex.RexNode],
-                 eval_ctx: EvalContext) -> list[tuple]:
+                 eval_ctx: EvalContext) -> VectorBatch:
     """``SELECT exprs FROM (VALUES rows) WHERE condition`` as a plan
     (multi-insert branches, MERGE's NOT MATCHED rows)."""
     plan = rel.Values(schema, tuple(rows))
@@ -64,7 +64,49 @@ def project_rows(schema: Schema, rows: Sequence[tuple],
         plan = rel.Filter(plan, condition)
     plan = rel.Project(plan, tuple(exprs),
                        tuple(f"_c{i}" for i in range(len(exprs))))
-    return execute(plan, ExecutionContext(None, eval_ctx=eval_ctx)).to_rows()
+    return execute(plan, ExecutionContext(None, eval_ctx=eval_ctx))
+
+
+def _static_values(table: TableDescriptor,
+                   partition_spec: dict | None) -> list:
+    """Per partition column, the value ``partition_spec`` pins it to, or
+    ``None`` where the rows bring their own (dynamic partitioning)."""
+    spec = {k.lower(): v for k, v in (partition_spec or {}).items()}
+    return [spec.get(c.name.lower()) for c in table.partition_columns]
+
+
+def insert_columns(table: TableDescriptor,
+                   partition_spec: dict | None) -> list[Column]:
+    """What an insert brings, in order: the data columns, then the
+    partition columns ``partition_spec`` does not pin."""
+    return list(table.schema.columns) + [
+        c for c, pinned in zip(table.partition_columns,
+                               _static_values(table, partition_spec))
+        if pinned is None]
+
+
+def conform(vectors: Sequence[ColumnVector],
+            columns: Sequence[Column]) -> list[ColumnVector]:
+    """``vectors`` in the types of ``columns``.  The same storage (INT as
+    BIGINT, DECIMAL as DOUBLE, VARCHAR as STRING — but a TIMESTAMP is no
+    BIGINT, though both are int64) is re-tagged without a copy; anything
+    else takes the way a row took: out to Python values and in again
+    through the column type's ``to_storage``."""
+    return [
+        ColumnVector(col.dtype, vector.data, vector.nulls)
+        if (vector.dtype.numpy_dtype == col.dtype.numpy_dtype
+            and vector.dtype.is_temporal == col.dtype.is_temporal)
+        else ColumnVector.from_values(col.dtype, vector.to_values())
+        for vector, col in zip(vectors, columns)]
+
+
+def _arity_error(table: TableDescriptor, got: int,
+                 columns: Sequence[Column]) -> AnalysisError:
+    width = len(table.schema)
+    return AnalysisError(
+        f"insert into {table.qualified_name}: row has {got} values, "
+        f"expected {width} data + {len(columns) - width} dynamic "
+        "partition values")
 
 
 class TableWriter:
@@ -123,77 +165,91 @@ class TableWriter:
                     overwrite: bool = False,
                     txn: int | None = None,
                     stats_sink: list | None = None) -> DmlResult:
-        """Insert rows; ``rows`` carry data columns followed by any
+        """The door for values from outside the engine (bulk loads,
+        ``INSERT ... VALUES`` literals): ``rows`` become columns here,
+        once, and :meth:`insert_batch` does the insert.
 
-        partition columns not pinned by ``partition_spec`` (dynamic
-        partitioning).
+        ``rows`` carry data columns followed by any partition columns
+        not pinned by ``partition_spec`` (dynamic partitioning).
+        """
+        columns = insert_columns(table, partition_spec)
+        for row in rows:
+            if len(row) != len(columns):
+                raise _arity_error(table, len(row), columns)
+        return self.insert_batch(
+            table, VectorBatch.from_rows(Schema(columns), rows),
+            partition_spec, overwrite, txn, stats_sink)
+
+    def insert_batch(self, table: TableDescriptor, batch: VectorBatch,
+                     partition_spec: dict[str, object] | None = None,
+                     overwrite: bool = False,
+                     txn: int | None = None,
+                     stats_sink: list | None = None) -> DmlResult:
+        """Insert a batch laid out as :func:`insert_columns` says.
 
         With ``txn`` the write joins an open multi-statement transaction
         and statistics deltas are deferred to ``stats_sink``.
         """
-        partition_spec = {k.lower(): v
-                          for k, v in (partition_spec or {}).items()}
-        routed = self._route_partitions(table, rows, partition_spec)
+        data, routed = self._route_partitions(table, batch, partition_spec)
 
         def change(txn: int) -> int:
             for values in routed:
                 self._lock(txn, table, values)
             write_id = self.hms.txn_manager.allocate_write_id(
                 txn, table.qualified_name)
-            for values, part_rows in routed.items():
+            for values, mask in routed.items():
                 location = self._partition_location(table, values,
                                                     create=True)
                 if overwrite:
                     self._truncate_location(location)
+                # cut here, so that one partition's vectors are alive at
+                # a time: sixty slices held at once move the cyclic
+                # collector's passes (ROADMAP, write-path trap 1)
+                part = data if mask is None else data.filter(mask)
                 if table.is_acid:
                     self.writer.write_insert_delta(
-                        location, write_id, table.schema, part_rows,
+                        location, write_id, part,
                         bloom_columns=table.bloom_filter_columns)
                 else:
                     seq = len(self.hms.fs.list_files(location))
                     self.writer.write_plain(
-                        location, table.schema, part_rows,
+                        location, part,
                         bloom_columns=table.bloom_filter_columns,
                         file_seq=seq, file_format=table.file_format)
                 self.hms.txn_manager.record_write_set(
                     txn, table.qualified_name, values, "insert")
-                self._record_stats(stats_sink, table, part_rows,
+                self._record_stats(stats_sink, table, part,
                                    values if table.is_partitioned
                                    else None, replace=overwrite)
-            return sum(len(part_rows) for part_rows in routed.values())
+            return data.num_rows
 
         return self._transact(table, "insert", txn, change)
 
-    def _route_partitions(self, table: TableDescriptor,
-                          rows: Sequence[tuple],
-                          partition_spec: dict) -> dict[tuple, list]:
-        data_width = len(table.schema)
-        part_columns = table.partition_columns
-        routed: dict[tuple, list] = {}
-        static = [partition_spec.get(c.name.lower())
-                  for c in part_columns]
-        dynamic_count = sum(1 for v in static if v is None)
-        expected = data_width + dynamic_count
-        for row in rows:
-            if len(row) != expected:
-                raise AnalysisError(
-                    f"insert into {table.qualified_name}: row has "
-                    f"{len(row)} values, expected {data_width} data + "
-                    f"{dynamic_count} dynamic partition values")
+    def _route_partitions(self, table: TableDescriptor, batch: VectorBatch,
+                          partition_spec: dict | None
+                          ) -> tuple[VectorBatch, dict]:
+        """``(data, routed)``: the data columns of ``batch`` in the
+        table's types, and per target partition (first-appearance order)
+        the mask of its rows, ``None`` where it takes them all."""
+        columns = insert_columns(table, partition_spec)
+        if len(batch.vectors) != len(columns):
+            raise _arity_error(table, len(batch.vectors), columns)
+        vectors = conform(batch.vectors, columns)
+        width = len(table.schema)
+        data = VectorBatch(table.schema, vectors[:width])
         if not table.is_partitioned:
-            routed[()] = [tuple(r) for r in rows]
-            return routed
-        for row in rows:
-            data = tuple(row[:data_width])
-            dynamic = list(row[data_width:])
-            values = []
-            for v in static:
-                if v is not None:
-                    values.append(v)
-                else:
-                    values.append(dynamic.pop(0))
-            routed.setdefault(tuple(values), []).append(data)
-        return routed
+            return data, {(): None}
+        static = _static_values(table, partition_spec)
+        if width == len(columns):       # every partition column pinned
+            return data, {tuple(static): None} if data.num_rows else {}
+        index, codes = dict_codes(list(zip(
+            *(v.to_values() for v in vectors[width:]))))
+        routed = {}
+        for key, code in index.items():
+            dynamic = iter(key)
+            routed[tuple(next(dynamic) if pinned is None else pinned
+                         for pinned in static)] = codes == code
+        return data, routed
 
     def _partition_location(self, table: TableDescriptor, values: tuple,
                             create: bool) -> str:
@@ -212,19 +268,19 @@ class TableWriter:
             fs.delete(location, recursive=True)
         fs.mkdirs(location)
 
-    def _record_stats(self, stats_sink, table, rows, partition,
+    def _record_stats(self, stats_sink, table, batch, partition,
                       replace: bool = False) -> None:
         """Apply stats now, or defer them until the owning transaction
 
         commits (rolled-back work must not pollute the statistics)."""
         if stats_sink is not None:
-            stats_sink.append((table, list(rows), partition, replace))
+            stats_sink.append((table, batch, partition, replace))
         else:
-            self._merge_stats(table, rows, partition, replace)
+            self._merge_stats(table, batch, partition, replace)
 
-    def _merge_stats(self, table: TableDescriptor, rows, partition,
-                     replace: bool = False) -> None:
-        delta = TableStatistics.from_rows(table.schema, rows)
+    def _merge_stats(self, table: TableDescriptor, batch: VectorBatch,
+                     partition, replace: bool = False) -> None:
+        delta = TableStatistics.from_batch(batch)
         if replace:
             self.hms.set_statistics(table, delta, partition)
             if partition is not None:
@@ -327,13 +383,12 @@ class TableWriter:
             total = 0
             for values, location, batch in self._found_rows(
                     table, plan, txn, valid_ids):
-                self.writer.write_delete_delta(
-                    location, write_id, row_ids_from_batch(batch))
+                self.writer.write_delete_delta(location, write_id,
+                                               record_ids(batch))
                 if assignments is not None:
                     self.writer.write_insert_delta(
-                        location, write_id, table.schema,
-                        VectorBatch(table.schema,
-                                    batch.vectors[:width]).to_rows(),
+                        location, write_id, self._new_rows(
+                            table, batch.vectors[:width]),
                         bloom_columns=table.bloom_filter_columns)
                 self.hms.txn_manager.record_write_set(
                     txn, table.qualified_name, values, operation)
@@ -341,6 +396,13 @@ class TableWriter:
             return total
 
         return self._transact(table, operation, txn, change)
+
+    @staticmethod
+    def _new_rows(table: TableDescriptor,
+                  vectors: Sequence[ColumnVector]) -> VectorBatch:
+        """Computed data columns as a batch the table can store."""
+        return VectorBatch(table.schema,
+                           conform(vectors, table.schema.columns))
 
     # ------------------------------------------------------------------ #
     # MERGE
@@ -388,42 +450,42 @@ class TableWriter:
             valid_ids, write_id = self._open_write(table, txn, None)
             total = 0
             matched_source = np.zeros(len(source_rows), dtype=bool)
-            pending_deletes: dict[str, list] = {}
-            pending_inserts: dict[str, list[tuple]] = {}
-            routed: dict[tuple, list] = {}      # NOT MATCHED inserts
+            pending_deletes: dict[str, VectorBatch] = {}
+            pending_inserts: dict[str, list[VectorBatch]] = {}
+            new_stats: list[tuple] = []     # NOT MATCHED inserts
             for values, location, pairs in self._found_rows(
                     table, plan, txn, valid_ids):
-                row_ids = row_ids_from_batch(pairs)
-                if len(set(row_ids)) < len(row_ids):
+                ids = record_ids(pairs)
+                if len(set(id_tuples(ids.vectors))) < pairs.num_rows:
                     raise ExecutionError(
                         "MERGE: multiple source rows match one target row")
                 matched_source[pairs.vectors[-1].data] = True
                 pending = np.ones(pairs.num_rows, dtype=bool)
-                updated: dict[int, tuple] = {}  # pair position -> new row
+                updated: list[VectorBatch] = []     # one per UPDATE clause
+                positions: list[np.ndarray] = []    # ... and its pairs
                 for action, holds, setters in matched_clauses:
                     mask = (pending if holds is None
                             else pending & holds(pairs, self.eval_ctx))
                     pending = pending & ~mask
                     if action == "update" and mask.any():
                         chosen = pairs.filter(mask)
-                        columns = [
-                            (setters[i](chosen, self.eval_ctx)
-                             if i in setters else chosen.vectors[i]
-                             ).to_values()
-                            for i in range(len(table.schema))]
-                        updated.update(zip(np.nonzero(mask)[0].tolist(),
-                                           zip(*columns)))
+                        updated.append(self._new_rows(table, [
+                            setters[i](chosen, self.eval_ctx)
+                            if i in setters else chosen.vectors[i]
+                            for i in range(len(table.schema))]))
+                        positions.append(np.nonzero(mask)[0])
                 if pending.all():
                     continue
-                pending_deletes[location] = [
-                    rid for rid, kept in zip(row_ids, pending) if not kept]
+                pending_deletes[location] = ids.filter(~pending)
                 if updated:
-                    # pair order is target-row order
+                    # pair order is target-row order, across clauses
                     pending_inserts[location] = [
-                        updated[i] for i in sorted(updated)]
+                        VectorBatch.concat(table.schema, updated).take(
+                            np.argsort(np.concatenate(positions),
+                                       kind="stable"))]
                 self.hms.txn_manager.record_write_set(
                     txn, table.qualified_name, values, "update")
-                total += len(pending_deletes[location])
+                total += pending_deletes[location].num_rows
             if insert_clause is not None:
                 new_rows = project_rows(
                     source_schema,
@@ -431,28 +493,31 @@ class TableWriter:
                      if not hit],
                     insert_clause.condition, insert_clause.insert_values,
                     self.eval_ctx)
-                if new_rows:
+                if new_rows.num_rows:
                     # dynamic routing for partitioned targets
-                    routed = self._route_partitions(table, new_rows, {})
-                    for part_values, part_rows in routed.items():
-                        location = self._partition_location(
-                            table, part_values, create=True)
-                        pending_inserts.setdefault(location,
-                                                   []).extend(part_rows)
+                    data, routed = self._route_partitions(table, new_rows,
+                                                          None)
+                    for part_values, mask in routed.items():
+                        part = data if mask is None else data.filter(mask)
+                        pending_inserts.setdefault(
+                            self._partition_location(
+                                table, part_values, create=True),
+                            []).append(part)
+                        new_stats.append((part, part_values
+                                          if table.is_partitioned else None))
                     self.hms.txn_manager.record_write_set(
                         txn, table.qualified_name, (), "insert")
-                    total += len(new_rows)
+                    total += new_rows.num_rows
             # flush: one delete delta + one insert delta per location
-            for location, row_id_list in pending_deletes.items():
-                self.writer.write_delete_delta(location, write_id,
-                                               row_id_list)
-            for location, rows in pending_inserts.items():
+            for location, ids in pending_deletes.items():
+                self.writer.write_delete_delta(location, write_id, ids)
+            for location, batches in pending_inserts.items():
                 self.writer.write_insert_delta(
-                    location, write_id, table.schema, rows,
+                    location, write_id,
+                    VectorBatch.concat(table.schema, batches),
                     bloom_columns=table.bloom_filter_columns)
-            for part_values, part_rows in routed.items():
-                self._merge_stats(table, part_rows, part_values
-                                  if table.is_partitioned else None)
+            for part, partition in new_stats:
+                self._merge_stats(table, part, partition)
             return total
 
         return self._transact(table, "merge", None, change)

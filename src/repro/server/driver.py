@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 from ..common.rows import Column, Schema
 from ..common.types import type_from_name
+from ..common.vector import ColumnVector, VectorBatch
 from ..config import KNOBS, SET_NAMES, HiveConf
-from ..errors import (AnalysisError, CatalogError, ExecutionError,
-                      HiveError, PlanInvariantError, QueryKilledError,
+from ..errors import (AnalysisError, CatalogError, HiveError,
+                      PlanInvariantError, QueryKilledError,
                       TransactionError, VertexFailureError)
 from ..exec.compile import EvalContext
 from ..exec.operators import ExecutionContext, execute
@@ -47,7 +48,7 @@ from ..optimizer.mv_rewrite import (ViewDefinition, build_view_definition,
                                     extract_spja)
 from ..optimizer.rules_basic import fold_constants, push_down_predicates
 from ..plan import relnodes as rel
-from ..plan.rexnodes import RexInputRef, RexLiteral
+from ..plan.rexnodes import AggregateCall, RexInputRef, RexLiteral
 from ..runtime.scan import ScanExecutor
 from ..runtime.tez import SLOTS_PER_NODE, QueryMetrics, TezRunner
 from ..sql import ast_nodes as ast
@@ -366,7 +367,7 @@ class Session:
             record.plan_hash = fingerprints.hash_plan_text(
                 record.plan_explain)
             if record.optimized is None:
-                # EXPLAIN compiles outside _compile_and_run
+                # EXPLAIN compiles outside _run_plan
                 self._note_plan_inputs(result.optimized, record)
             m = result.metrics
             if m is not None:
@@ -539,14 +540,14 @@ class Session:
 
     # ------------------------------------------------------------------ #
     # SELECT path
-    def _plan_cache_usable(self, use_cache: bool) -> bool:
+    def _plan_cache_usable(self) -> bool:
         """May this statement use the compiled plan cache at all?
 
         Transactions pin snapshots the cache key does not capture, and
         runtime-stats feedback makes compilation workload-dependent —
         both disable lookup *and* store.
         """
-        return (use_cache and self.conf.plan_cache_enabled
+        return (self.conf.plan_cache_enabled
                 and self._active_txn is None
                 and not self.conf.runtime_stats_feedback)
 
@@ -561,16 +562,15 @@ class Session:
 
     def _cached_plan_for(self, sql: str):
         """Raw-text plan-cache fast path (skips the parser)."""
-        if not self._plan_cache_usable(True):
+        if not self._plan_cache_usable():
             return None
         return self.server.plan_cache.lookup_raw(
             self.database, sql, self._plan_conf_digest(),
             self.hms.plan_versions)
 
-    def _run_select(self, query: ast.Query,
-                    use_cache: bool = True) -> QueryResult:
+    def _run_select(self, query: ast.Query) -> QueryResult:
         plan_key = None
-        if self._plan_cache_usable(use_cache):
+        if self._plan_cache_usable():
             digest = self._plan_conf_digest()
             canonical = query.unparse()
             plan_key = (canonical, digest)
@@ -584,10 +584,7 @@ class Session:
                     self.server.plan_cache.link_raw(
                         cached, self.database, self._trace.sql, digest)
                 return self._run_cached_plan(cached)
-        analyzer = self._analyzer()
-        self._publish_phase("analyze")
-        with self._span("analyze"):
-            plan = analyzer.analyze_query(query)
+        plan = self._analyze(query)
         tables = sorted({s.table_name for s in rel.find_scans(plan)})
         # captured BEFORE optimization: a concurrent DDL *during*
         # compilation leaves the stored versions behind the table's,
@@ -600,7 +597,7 @@ class Session:
         # them by write-id would pin permanently stale snapshots
         reads_sys = any(t.split(".", 1)[0] == "sys" for t in tables)
         deterministic = _is_cacheable(query)
-        cacheable = (use_cache and self.conf.results_cache_enabled
+        cacheable = (self.conf.results_cache_enabled
                      and self._active_txn is None and not reads_sys
                      and deterministic)
         result = self._through_results_cache(
@@ -622,6 +619,22 @@ class Session:
                 raw_sql=(self._trace.sql if self._trace is not None
                          else None))
         return result
+
+    def _analyze(self, query: ast.Query) -> rel.RelNode:
+        self._publish_phase("analyze")
+        with self._span("analyze"):
+            return self._analyzer().analyze_query(query)
+
+    def _run_query(self, query: ast.Query) -> tuple[VectorBatch, QueryResult]:
+        """Run ``query`` for the engine's own use (INSERT ... SELECT,
+        CTAS, view contents, ANALYZE, EXPLAIN ANALYZE): neither cache is
+        consulted or fed, and what comes back is the batch, labelled with
+        the result's column names and the analyzed columns."""
+        plan = self._analyze(query)
+        batch, result = self._run_plan(plan)
+        return batch.with_schema(Schema(
+            column.renamed(name) for column, name in
+            zip(plan.schema, result.column_names))), result
 
     def _mv_rewrite_candidate(self, tables: list) -> bool:
         """Could an enabled materialized view rewrite this query?
@@ -688,14 +701,20 @@ class Session:
         return result
 
     def _compile_and_run(self, plan: rel.RelNode,
-                         conf: Optional[HiveConf] = None,
-                         stats_overrides: Optional[dict] = None,
                          cached=None) -> QueryResult:
-        conf = conf or self.conf
-        if conf.runtime_stats_feedback:
-            merged = self.hms.runtime_stats()
-            merged.update(stats_overrides or {})
-            stats_overrides = merged
+        """:meth:`_run_plan` for a client: the batch becomes rows."""
+        batch, result = self._run_plan(plan, cached=cached)
+        result.rows = batch.to_rows()
+        return result
+
+    def _run_plan(self, plan: rel.RelNode,
+                  cached=None) -> tuple[VectorBatch, QueryResult]:
+        """Optimize (or take the cached plan) and execute.  The batch is
+        a second value, not a ``QueryResult`` field: completed results
+        are retained, the batch dies with the statement."""
+        conf = self.conf
+        stats_overrides = (self.hms.runtime_stats()
+                           if conf.runtime_stats_feedback else None)
         compile_cost = None
         if cached is not None:
             # plan-cache hit: reuse the compiled plan and charge the
@@ -743,13 +762,11 @@ class Session:
                     self._note_plan_inputs(optimized)
         if conf.runtime_stats_feedback:
             self.hms.record_runtime_stats(ctx.runtime_stats)
-        result = QueryResult(
-            rows=batch.to_rows(),
+        return batch, QueryResult(
             column_names=[c.name for c in batch.schema],
             metrics=metrics, reexecuted=reexecuted,
             views_used=list(optimized.views_used), optimized=optimized,
             profile=profile)
-        return result
 
     def _optimizer(self, conf: Optional[HiveConf] = None,
                    stats_overrides: Optional[dict] = None) -> Optimizer:
@@ -887,7 +904,7 @@ class Session:
         actually executes)."""
         if not isinstance(statement, ast.SelectStatement):
             raise AnalysisError("EXPLAIN ANALYZE supports queries only")
-        result = self._run_select(statement.query, use_cache=False)
+        _, result = self._run_query(statement.query)
         from ..obs.explain_analyze import render_explain_analyze
         # the inputs/outputs footer reads the statement record, the SAME
         # resolution the audit log gets — the two surfaces cannot drift
@@ -932,22 +949,17 @@ class Session:
             return QueryResult(message="table exists, skipped")
         if statement.as_query is not None and not statement.columns:
             # CTAS: derive schema from the query
-            select = self._run_select(statement.as_query, use_cache=False)
-            analyzer = self._analyzer()
-            plan = analyzer.analyze_query(statement.as_query)
-            schema = plan.schema
-            table = self._register_table(statement, schema)
-            self._writer().insert_rows(table, select.rows)
-            return QueryResult(rows_affected=len(select.rows),
-                               metrics=select.metrics)
-        schema = Schema([_column_from_def(c) for c in statement.columns])
-        table = self._register_table(statement, schema)
-        if statement.as_query is not None:
-            select = self._run_select(statement.as_query, use_cache=False)
-            self._writer().insert_rows(table, select.rows)
-            return QueryResult(rows_affected=len(select.rows),
-                               metrics=select.metrics)
-        return QueryResult()
+            batch, select = self._run_query(statement.as_query)
+            table = self._register_table(statement, batch.schema)
+        else:
+            table = self._register_table(statement, Schema(
+                [_column_from_def(c) for c in statement.columns]))
+            if statement.as_query is None:
+                return QueryResult()
+            batch, select = self._run_query(statement.as_query)
+        self._writer().insert_batch(table, batch)
+        return QueryResult(rows_affected=batch.num_rows,
+                           metrics=select.metrics)
 
     def _register_table(self, statement: ast.CreateTable,
                         schema: Schema) -> TableDescriptor:
@@ -1049,10 +1061,9 @@ class Session:
     # materialized views
     def _create_materialized_view(
             self, statement: ast.CreateMaterializedView) -> QueryResult:
-        select = self._run_select(statement.query, use_cache=False)
-        analyzer = self._analyzer()
-        plan = analyzer.analyze_query(statement.query)
-        sources = source_tables_of(plan)
+        batch, select = self._run_query(statement.query)
+        sources = source_tables_of(
+            self._analyzer().analyze_query(statement.query))
         properties = dict(statement.properties)
         staleness = float(properties.get("rewriting.time.window", "0"))
         info = MaterializedViewInfo(
@@ -1063,22 +1074,20 @@ class Session:
             allowed_staleness_s=staleness,
             enabled_for_rewrite=not statement.disable_rewrite)
         handler_name = _normalize_handler(statement.stored_by)
-        schema = Schema([Column(name, dtype) for name, dtype in zip(
-            select.column_names, plan.schema.types())])
         database, name = _split_table_name(statement.name,
                                           self.database)
         view = self.hms.create_table(
-            database, name, schema,
+            database, name, batch.schema,
             kind=TableKind.MATERIALIZED_VIEW,
             is_acid=False, storage_handler=handler_name,
             properties=properties, mv_info=info)
         self._note_output(view.qualified_name)
-        self._store_view_contents(view, select.rows)
-        return QueryResult(rows_affected=len(select.rows),
+        self._store_view_contents(view, batch)
+        return QueryResult(rows_affected=batch.num_rows,
                            metrics=select.metrics)
 
     def _store_view_contents(self, view: TableDescriptor,
-                             rows: list) -> None:
+                             batch: VectorBatch) -> None:
         if view.storage_handler is not None:
             handler = self.server.storage_handlers.get(
                 view.storage_handler)
@@ -1087,15 +1096,15 @@ class Session:
                     f"storage handler {view.storage_handler!r} is not "
                     "registered")
             handler.on_create_table(view)
-            handler.insert_rows(view, rows)
+            handler.insert_rows(view, batch.to_rows())
         else:
             location = view.location
             if self.fs.exists(location):
                 self.fs.delete(location, recursive=True)
             self.fs.mkdirs(location)
-            self._writer().insert_rows(view, rows)
-        stats = TableStatistics.from_rows(view.schema, rows)
-        self.hms.set_statistics(view, stats)
+            self._writer().insert_batch(view, batch)
+        self.hms.set_statistics(view, TableStatistics.from_batch(
+            batch.with_schema(view.schema)))
 
     def _rebuild_materialized_view(
             self, statement: ast.AlterMaterializedViewRebuild
@@ -1107,7 +1116,7 @@ class Session:
         info = view.mv_info
         self._note_output(view.qualified_name)
         if self._record is not None:
-            # the incremental path executes outside _compile_and_run,
+            # the incremental path executes outside _run_plan,
             # so resolve rebuild inputs from the view's source list
             for source in info.source_tables:
                 self._record.add_input(source)
@@ -1121,10 +1130,10 @@ class Session:
             report = self._incremental_rebuild(view, definition.query,
                                                changed[0])
         if report is None:
-            select = self._run_select(definition.query, use_cache=False)
-            self._store_view_contents(view, select.rows)
+            batch, _ = self._run_query(definition.query)
+            self._store_view_contents(view, batch)
             report = RebuildReport(view.qualified_name, "full",
-                                   len(select.rows))
+                                   batch.num_rows)
         info.snapshot_write_ids = snapshot_write_ids(
             self.hms, info.source_tables)
         info.rebuild_time = self.now_s
@@ -1145,7 +1154,8 @@ class Session:
         plan = self._analyzer().analyze_query(query)
         plan = push_down_predicates(fold_constants(plan))
         spja = extract_spja(plan)
-        if spja is None:
+        if spja is None or not all(
+                func in _ROLL_UP for func, _, _, _ in spja.agg_calls or ()):
             return None
         table = self.hms.get_table(changed_table)
         if not table.is_acid:
@@ -1168,40 +1178,24 @@ class Session:
         scan_executor = ScanExecutor(
             self.hms, self.fs, self._reader_factory(), valid, {},
             self.server.storage_handlers)
-        ctx = ExecutionContext(scan_executor=scan_executor)
-        delta_batch = execute(plan, ctx)
-        delta_rows = delta_batch.to_rows()
-
+        # the old contents and the definition over the delta, rolled up
+        # by the view's keys: the engine's one aggregation path, groups
+        # in first-occurrence order (the view's rows first)
+        merged: rel.RelNode = rel.Union(
+            (rel.TableScan(view.qualified_name, view.schema), plan))
         if spja.is_aggregated:
-            # MERGE semantics: combine old contents with delta partials
-            current = self._read_view_rows(view)
-            key_count = len(spja.group_exprs)
-            merged: dict[tuple, list] = {}
-            funcs = [f for f, _, _, _ in spja.agg_calls]
-            for row in current + delta_rows:
-                key = tuple(row[:key_count])
-                state = merged.get(key)
-                if state is None:
-                    merged[key] = list(row[key_count:])
-                    continue
-                for i, func in enumerate(funcs):
-                    state[i] = _merge_agg(func, state[i],
-                                          row[key_count + i])
-            rows = [key + tuple(state) for key, state in merged.items()]
-            mode = "incremental"
-        else:
-            current = self._read_view_rows(view)
-            rows = current + delta_rows
-            mode = "incremental"
-        self._store_view_contents(view, rows)
-        return RebuildReport(view.qualified_name, mode, len(rows),
-                             delta_rows=len(delta_rows))
-
-    def _read_view_rows(self, view: TableDescriptor) -> list:
-        scan = ScanExecutor(self.hms, self.fs, None, {}, {},
-                            self.server.storage_handlers)
-        return scan(rel.TableScan(view.qualified_name,
-                                  view.schema)).to_rows()
+            keys = len(spja.group_exprs)
+            merged = rel.Aggregate(merged, tuple(range(keys)), tuple(
+                AggregateCall(_ROLL_UP[func], keys + i, column.dtype,
+                              column.name)
+                for i, ((func, _, _, _), column) in enumerate(zip(
+                    spja.agg_calls, view.schema.columns[keys:]))))
+        ctx = ExecutionContext(scan_executor=scan_executor)
+        batch = execute(merged, ctx)
+        self._store_view_contents(view, batch)
+        return RebuildReport(view.qualified_name, "incremental",
+                             batch.num_rows,
+                             delta_rows=ctx.runtime_stats[plan.digest])
 
     # ------------------------------------------------------------------ #
     # DML
@@ -1212,7 +1206,10 @@ class Session:
         if table.storage_handler is not None:
             if table.storage_handler == "sys":
                 self.server.obs.sys_handler.insert_rows(table, ())
-            rows = self._insert_source_rows(statement, table)
+            # the federation boundary: a handler is handed rows
+            rows = (self._insert_values(statement, table)
+                    if statement.query is None
+                    else self._insert_query(statement, table).to_rows())
             handler = self.server.storage_handlers[table.storage_handler]
             handler.insert_rows(table, rows)
             self.hms.emit_event("INSERT", table.qualified_name,
@@ -1224,13 +1221,20 @@ class Session:
             stats = TableStatistics.from_rows(stats_schema, rows)
             self.hms.update_statistics(table, stats)
             return QueryResult(rows_affected=len(rows))
-        rows = self._insert_source_rows(statement, table)
+        # literals come in through the door, a query's batch goes on
+        writer = self._writer()
+        if statement.query is None:
+            insert = writer.insert_rows
+            source = self._insert_values(statement, table)
+        else:
+            insert = writer.insert_batch
+            source = self._insert_query(statement, table)
         if self._active_txn is not None and statement.overwrite:
             raise TransactionError(
                 "INSERT OVERWRITE is not allowed inside a "
                 "multi-statement transaction")
-        result = self._writer().insert_rows(
-            table, rows, partition_spec, overwrite=statement.overwrite,
+        result = insert(
+            table, source, partition_spec, overwrite=statement.overwrite,
             txn=self._active_txn,
             stats_sink=(self._txn_pending_stats
                         if self._active_txn is not None else None))
@@ -1238,27 +1242,40 @@ class Session:
             self._txn_tables.add(table.qualified_name)
         return QueryResult(rows_affected=result.rows_affected)
 
-    def _insert_source_rows(self, statement: ast.Insert,
-                            table: TableDescriptor) -> list[tuple]:
-        if statement.query is not None:
-            select = self._run_select(statement.query, use_cache=False)
-            rows = select.rows
-        else:
-            rows = []
-            empty = Schema([])
-            converter = _ExprConverter(
-                self._analyzer(), Scope([ScopeEntry(None, empty, 0)]),
-                None, {})
-            from ..optimizer.rules_basic import fold_rex
-            for value_row in statement.values:
-                row = []
-                for expr in value_row:
-                    folded = fold_rex(converter.convert(expr))
-                    if not isinstance(folded, RexLiteral):
-                        raise AnalysisError(
-                            "INSERT VALUES must be constant expressions")
-                    row.append(folded.value)
-                rows.append(tuple(row))
+    def _insert_query(self, statement: ast.Insert,
+                      table: TableDescriptor) -> VectorBatch:
+        """What INSERT ... SELECT brings; with a column list, laid out
+        as the table's data columns (columns not named are NULL)."""
+        batch, _ = self._run_query(statement.query)
+        if not statement.columns:
+            return batch
+        if len(batch.vectors) != len(statement.columns):
+            raise _column_list_error(table, len(batch.vectors), statement)
+        vectors = [ColumnVector.from_values(c.dtype, [None] * batch.num_rows)
+                   for c in table.schema]
+        for name, vector in zip(statement.columns, batch.vectors):
+            vectors[table.schema.index_of(name)] = vector
+        return VectorBatch(table.schema, vectors)
+
+    def _insert_values(self, statement: ast.Insert,
+                       table: TableDescriptor) -> list[tuple]:
+        """The literal rows of INSERT ... VALUES; with a column list,
+        laid out as the table's data columns."""
+        rows = []
+        empty = Schema([])
+        converter = _ExprConverter(
+            self._analyzer(), Scope([ScopeEntry(None, empty, 0)]),
+            None, {})
+        from ..optimizer.rules_basic import fold_rex
+        for value_row in statement.values:
+            row = []
+            for expr in value_row:
+                folded = fold_rex(converter.convert(expr))
+                if not isinstance(folded, RexLiteral):
+                    raise AnalysisError(
+                        "INSERT VALUES must be constant expressions")
+                row.append(folded.value)
+            rows.append(tuple(row))
         if statement.columns:
             # reorder/missing columns default to NULL
             names = [c.lower() for c in statement.columns]
@@ -1266,10 +1283,7 @@ class Session:
             reordered = []
             for row in rows:
                 if len(row) != len(names):
-                    raise AnalysisError(
-                        f"insert into {table.qualified_name}: row has "
-                        f"{len(row)} values, the column list names "
-                        f"{len(names)}")
+                    raise _column_list_error(table, len(row), statement)
                 full = [None] * width
                 for name, value in zip(names, row):
                     full[table.schema.index_of(name)] = value
@@ -1332,13 +1346,13 @@ class Session:
                     else:
                         exprs.append(converter.convert(item.expr))
                 # each branch is Project(Filter(Values(source rows)))
-                rows = project_rows(
-                    source_schema, source_result.rows,
-                    None if spec.where is None
-                    else converter.convert(spec.where),
-                    exprs, writer.eval_ctx)
-                result = writer.insert_rows(
-                    table, rows, dict(branch.partition_spec),
+                result = writer.insert_batch(
+                    table, project_rows(
+                        source_schema, source_result.rows,
+                        None if spec.where is None
+                        else converter.convert(spec.where),
+                        exprs, writer.eval_ctx),
+                    dict(branch.partition_spec),
                     txn=txn, stats_sink=pending_stats)
                 total += result.rows_affected
                 self._note_output(table.qualified_name)
@@ -1358,8 +1372,8 @@ class Session:
             if own_txn:
                 self.hms.lock_manager.release_all(txn)
         if own_txn:
-            for table, rows, partition, replace in pending_stats:
-                writer._merge_stats(table, rows, partition, replace)
+            for pending in pending_stats:
+                writer._merge_stats(*pending)
             for table in touched:
                 writer.initiator.check_table(table)
         return QueryResult(rows_affected=total, metrics=source_result.metrics)
@@ -1419,13 +1433,10 @@ class Session:
         from ..sql.parser import parse_query
         source_plan = analyzer.analyze_query(
             parse_query(source_sql, self.conf))
-        source_result = self._compile_and_run(source_plan)
-        from ..common.vector import VectorBatch
+        source_batch, source_result = self._run_plan(source_plan)
         source_schema = Schema([
             Column(name, dtype) for name, dtype in
             zip(source_result.column_names, source_plan.schema.types())])
-        source_batch = VectorBatch.from_rows(source_schema,
-                                             source_result.rows)
 
         target_alias = (statement.target_alias
                         or statement.target.split(".")[-1]).lower()
@@ -1497,8 +1508,8 @@ class Session:
             self._clear_transaction()
             raise
         # apply the deferred statistics only once the commit stuck
-        for table, rows, partition, replace in self._txn_pending_stats:
-            writer._merge_stats(table, rows, partition, replace)
+        for pending in self._txn_pending_stats:
+            writer._merge_stats(*pending)
         touched = set(self._txn_tables)
         self._clear_transaction()
         for table_name in touched:
@@ -1537,9 +1548,9 @@ class Session:
     # ANALYZE / SET / workload DDL
     def _analyze_table(self, statement: ast.AnalyzeTable) -> QueryResult:
         table = self.hms.get_table(statement.table, self.database)
-        result = self._run_select(_select_star(table), use_cache=False)
-        stats = TableStatistics.from_rows(table.full_schema(),
-                                          result.rows)
+        batch, result = self._run_query(_select_star(table))
+        stats = TableStatistics.from_batch(
+            batch.with_schema(table.full_schema()))
         # keep only data-column stats at table level
         self.hms.set_statistics(table, stats)
         return QueryResult(rows_affected=stats.row_count,
@@ -1653,20 +1664,16 @@ def _split_table_name(name: str, default_db: str) -> tuple[str, str]:
     return default_db, name
 
 
-def _merge_agg(func: str, state, value):
-    """Merge a partial aggregate into the view's stored value."""
-    if value is None:
-        return state
-    if state is None:
-        return value
-    if func in ("sum", "count"):
-        return state + value
-    if func == "min":
-        return min(state, value)
-    if func == "max":
-        return max(state, value)
-    raise ExecutionError(
-        f"aggregate {func} is not incrementally mergeable")
+#: how a stored aggregate absorbs a partial one over new rows; a view
+#: holding any other (AVG, ...) is rebuilt in full
+_ROLL_UP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def _column_list_error(table: TableDescriptor, got: int,
+                       statement: ast.Insert) -> AnalysisError:
+    return AnalysisError(
+        f"insert into {table.qualified_name}: row has {got} values, the "
+        f"column list names {len(statement.columns)}")
 
 
 def _column_from_def(definition: ast.ColumnDef) -> Column:

@@ -63,12 +63,6 @@ class Scope:
     def width(self) -> int:
         return sum(len(e.schema) for e in self.entries)
 
-    def output_schema(self) -> Schema:
-        columns: list[Column] = []
-        for entry in self.entries:
-            columns.extend(entry.schema.columns)
-        return Schema(_dedupe_names(columns))
-
     def resolve_local(self, qualifier: Optional[str],
                       name: str) -> Optional[tuple[int, DataType]]:
         """Resolve in this scope only; None when not found."""
@@ -100,26 +94,6 @@ class Scope:
                 f"unknown column: "
                 f"{qualifier + '.' if qualifier else ''}{name}")
         return result
-
-    def can_resolve(self, qualifier: Optional[str], name: str) -> bool:
-        try:
-            return self.resolve_local(qualifier, name) is not None
-        except AnalysisError:
-            return True  # ambiguous still means "resolvable here"
-
-
-def _dedupe_names(columns: list[Column]) -> list[Column]:
-    seen: set[str] = set()
-    out = []
-    for col in columns:
-        name = col.name
-        suffix = 0
-        while name.lower() in seen:
-            suffix += 1
-            name = f"{col.name}_{suffix}"
-        seen.add(name.lower())
-        out.append(col.renamed(name))
-    return out
 
 
 # --------------------------------------------------------------------------- #

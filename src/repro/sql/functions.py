@@ -107,7 +107,3 @@ def scalar_result_type(name: str, arg_types: Sequence[DataType]) -> DataType:
             f"{name} expects {min_args}..{max_args} arguments, "
             f"got {len(arg_types)}")
     return type_fn(arg_types)
-
-
-def is_window_function(name: str) -> bool:
-    return name in RANKING_FUNCTIONS or name in AGGREGATE_FUNCTIONS

@@ -15,16 +15,20 @@ tests/test_dml_parity.py runs random scripts against a server using
 ``TableWriter`` and one using ``OracleWriter`` and demands equal
 ``rows_affected``, equal table contents and byte-identical delta files.
 
-It shares nothing with the code under test but the writer, the
-expression kernels and the insert path: no ``ScanExecutor``, no plan, no
-join operator, and it spells its own transaction scaffold.
+It shares nothing with the code under test but the expression kernels:
+no ``ScanExecutor``, no plan, no join operator, and it spells its own
+transaction scaffold for the three statements.  Since rows became
+columns once it also *writes* the displaced way (tests/write_oracle.py):
+rows and ``RowId`` objects through ``RowAcidWriter``, its own partition
+routing and per-value statistics — so the parity suite compares the two
+write paths byte for byte as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.acid.reader import AcidReader, row_ids_from_batch
+from repro.acid.reader import AcidReader
 from repro.common.rows import Schema
 from repro.common.vector import ColumnVector, VectorBatch
 from repro.errors import ExecutionError
@@ -32,13 +36,73 @@ from repro.exec.compile import compile_expr, compile_predicate
 from repro.metastore.locks import LockType
 from repro.server.dml import DmlResult, TableWriter
 
+from .write_oracle import (RowAcidWriter, route_rows, row_ids_from_batch,
+                           stats_from_rows)
+
 
 class OracleWriter(TableWriter):
-    """``TableWriter`` with the pre-plan UPDATE / DELETE / MERGE."""
+    """``TableWriter`` with the pre-plan UPDATE / DELETE / MERGE and the
+    pre-batch INSERT."""
 
     def __init__(self, hms, conf, eval_ctx=None):
         super().__init__(hms, conf, eval_ctx)
         self.reader = AcidReader(hms.fs)
+        self.writer = RowAcidWriter(hms.fs)
+
+    # ------------------------------------------------------------------ #
+    # INSERT
+    def insert_batch(self, table, batch, partition_spec=None,
+                     overwrite=False, txn=None, stats_sink=None):
+        return self.insert_rows(table, batch.to_rows(), partition_spec,
+                                overwrite, txn, stats_sink)
+
+    def insert_rows(self, table, rows, partition_spec=None,
+                    overwrite=False, txn=None, stats_sink=None):
+        partition_spec = {k.lower(): v
+                          for k, v in (partition_spec or {}).items()}
+        routed = route_rows(table, rows, partition_spec)
+
+        def change(txn: int) -> int:
+            for values in routed:
+                self._lock(txn, table, values)
+            write_id = self.hms.txn_manager.allocate_write_id(
+                txn, table.qualified_name)
+            for values, part_rows in routed.items():
+                location = self._partition_location(table, values,
+                                                    create=True)
+                if overwrite:
+                    self._truncate_location(location)
+                if table.is_acid:
+                    self.writer.write_insert_delta(
+                        location, write_id, table.schema, part_rows,
+                        bloom_columns=table.bloom_filter_columns)
+                else:
+                    seq = len(self.hms.fs.list_files(location))
+                    self.writer.write_plain(
+                        location, table.schema, part_rows,
+                        bloom_columns=table.bloom_filter_columns,
+                        file_seq=seq, file_format=table.file_format)
+                self.hms.txn_manager.record_write_set(
+                    txn, table.qualified_name, values, "insert")
+                self._record_stats(stats_sink, table, part_rows,
+                                   values if table.is_partitioned
+                                   else None, replace=overwrite)
+            return sum(len(part_rows) for part_rows in routed.values())
+
+        return self._transact(table, "insert", txn, change)
+
+    def _merge_stats(self, table, rows, partition, replace=False):
+        delta = stats_from_rows(table.schema, rows)
+        if replace:
+            self.hms.set_statistics(table, delta, partition)
+            if partition is not None:
+                total = type(delta)()
+                for values in table.partitions:
+                    total = total.merge(
+                        self.hms.get_statistics(table, values))
+                self.hms.set_statistics(table, total, None)
+        else:
+            self.hms.update_statistics(table, delta, partition)
 
     # ------------------------------------------------------------------ #
     # UPDATE / DELETE
@@ -211,7 +275,7 @@ class OracleWriter(TableWriter):
                         value(row_batch, self.eval_ctx).value(0)
                         for value in insert_values))
                 if new_rows:
-                    routed = self._route_partitions(table, new_rows, {})
+                    routed = route_rows(table, new_rows, {})
                     for part_values, part_rows in routed.items():
                         location = self._partition_location(
                             table, part_values, create=True)

@@ -5,10 +5,11 @@ import pytest
 from repro.acid.compactor import (CompactionCleaner, CompactionInitiator,
                                   CompactionWorker)
 from repro.acid.layout import parse_acid_dirs, select_acid_state
-from repro.acid.reader import AcidReader, row_ids_from_batch
-from repro.acid.writer import AcidWriter, RowId
+from repro.acid.reader import AcidReader
+from repro.acid.writer import AcidWriter, id_tuples, record_ids
 from repro.common.rows import Column, Schema
 from repro.common.types import INT, STRING
+from repro.common.vector import VectorBatch
 from repro.config import HiveConf
 from repro.errors import HiveError
 from repro.formats.orc import SargPredicate
@@ -35,7 +36,8 @@ def commit_insert(hms, writer, table, schema, rows):
     tm = hms.txn_manager
     txn = tm.open_transaction()
     wid = tm.allocate_write_id(txn, table.qualified_name)
-    writer.write_insert_delta(table.location, wid, schema, rows)
+    writer.write_insert_delta(table.location, wid,
+                              VectorBatch.from_rows(schema, rows))
     tm.commit(txn)
     return wid
 
@@ -91,8 +93,9 @@ class TestReadWrite:
         tm = hms.txn_manager
         txn = tm.open_transaction()
         wid = tm.allocate_write_id(txn, table.qualified_name)
-        writer.write_insert_delta(table.location, wid, schema,
-                                  [(1, "a"), (2, "b")])
+        writer.write_insert_delta(
+            table.location, wid,
+            VectorBatch.from_rows(schema, [(1, "a"), (2, "b")]))
         before, _ = reader.read(table.location,
                                 current_valid(hms, table))
         assert before.num_rows == 0
@@ -106,7 +109,8 @@ class TestReadWrite:
         tm = hms.txn_manager
         txn = tm.open_transaction()
         wid = tm.allocate_write_id(txn, table.qualified_name)
-        writer.write_insert_delta(table.location, wid, schema, [(9, "x")])
+        writer.write_insert_delta(
+            table.location, wid, VectorBatch.from_rows(schema, [(9, "x")]))
         tm.abort(txn)
         batch, _ = reader.read(table.location, current_valid(hms, table))
         assert batch.num_rows == 0
@@ -118,9 +122,7 @@ class TestReadWrite:
                       [(i, f"n{i}") for i in range(6)])
         batch, _ = reader.read(table.location, current_valid(hms, table),
                                include_row_ids=True)
-        ids = row_ids_from_batch(batch)
-        victims = [rid for rid, row in zip(ids, batch.to_rows())
-                   if row[3] % 2 == 0]
+        victims = record_ids(batch).filter(batch.column("id").data % 2 == 0)
         tm = hms.txn_manager
         txn = tm.open_transaction()
         wid = tm.allocate_write_id(txn, table.qualified_name)
@@ -160,7 +162,7 @@ class TestReadWrite:
         commit_insert(hms, writer, table, schema, [(3, "c")])
         batch, _ = reader.read(table.location, current_valid(hms, table),
                                include_row_ids=True)
-        ids = [r.as_tuple() for r in row_ids_from_batch(batch)]
+        ids = list(id_tuples(record_ids(batch).vectors))
         assert len(set(ids)) == len(ids) == 3
 
 
@@ -216,7 +218,7 @@ class TestCompactionExecution:
         txn = tm.open_transaction()
         wid = tm.allocate_write_id(txn, table.qualified_name)
         writer.write_delete_delta(table.location, wid,
-                                  row_ids_from_batch(batch)[:10])
+                                  record_ids(batch).slice(0, 10))
         tm.commit(txn)
         hms.compaction_queue.enqueue(table.qualified_name, None,
                                      CompactionType.MAJOR)

@@ -71,6 +71,24 @@ class TestInsert:
         assert sorted(session.execute("SELECT a FROM dst").rows) == [
             (2,), (4,)]
 
+    @pytest.mark.parametrize("nan_at", [0, 2])
+    def test_nan_does_not_poison_statistics(self, session, nan_at):
+        """Row-group and table bounds skip NaN wherever it comes: a NaN
+        first used to make min = max = NaN and sarg pruning lose rows."""
+        values = ["(2, 5.0)", "(3, 7.0)"]
+        values.insert(nan_at, "(1, CAST('NaN' AS DOUBLE))")
+        session.conf.results_cache_enabled = False
+        session.execute("CREATE TABLE u (k INT, x DOUBLE)")
+        session.execute(f"INSERT INTO u VALUES {', '.join(values)}")
+        assert session.execute(
+            "SELECT k FROM u WHERE x = 5.0").rows == [(2,)]
+        assert session.execute(
+            "SELECT k FROM u WHERE x > 6.0").rows == [(3,)]
+        stats = session.hms.get_statistics(
+            session.hms.get_table("u")).column("x")
+        assert (stats.min_value, stats.max_value) == (5.0, 7.0)
+        assert stats.null_count == 0 and stats.ndv == 3     # NaN counts
+
     def test_static_partition_insert(self, session):
         session.execute("CREATE TABLE p (v INT) PARTITIONED BY (ds INT)")
         session.execute("INSERT INTO p PARTITION (ds=7) VALUES (1), (2)")

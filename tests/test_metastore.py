@@ -114,6 +114,12 @@ class TestStatistics:
         assert stats.min_value == 1 and stats.max_value == 9
         assert abs(stats.ndv - 3) <= 1
 
+    def test_nan_counts_but_bounds_nothing(self):
+        stats = ColumnStatistics()
+        stats.update_all([float("nan"), 5.0, None, 7.0])
+        assert (stats.min_value, stats.max_value) == (5.0, 7.0)
+        assert stats.null_count == 1 and stats.ndv == 3
+
     def test_additive_merge(self):
         left, right = ColumnStatistics(), ColumnStatistics()
         left.update_all(range(100))

@@ -153,6 +153,27 @@ class TestRowGroupPruning:
             [SargPredicate("a", "=", 5)]) == [1]
 
 
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_nan_has_no_place_in_the_bounds(self, nan_at):
+        """Bounds are over the values that are neither NULL nor NaN,
+        whatever the row order; a group of NaNs has none and matches no
+        sarg."""
+        values = [5.0, 7.0]
+        values.insert(nan_at, float("nan"))
+        schema = Schema([Column("x", DOUBLE)])
+        reader = OrcReader(write_file(
+            schema, [(v,) for v in values] + [(float("nan"),)] * 3,
+            row_group_size=3))
+        mixed, nans = (g.columns[0].stats for g in reader.row_groups)
+        assert (mixed.min_value, mixed.max_value) == (5.0, 7.0)
+        assert (nans.min_value, nans.max_value) == (None, None)
+        assert nans.null_count == 0
+        for sarg in (SargPredicate("x", "=", 5.0),
+                     SargPredicate("x", ">", 6.0),
+                     SargPredicate("x", "between", (0.0, 9.0))):
+            assert reader.select_row_groups([sarg]) == [0]
+
+
 class TestCorruption:
     def test_bad_magic(self):
         with pytest.raises(CorruptFileError):

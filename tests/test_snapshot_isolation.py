@@ -57,12 +57,14 @@ class TestSnapshotIsolation:
         session.execute("INSERT INTO t VALUES (1)")
         # simulate a writer that dies before commit
         from repro.acid.writer import AcidWriter
+        from repro.common.vector import VectorBatch
         tm = server.hms.txn_manager
         table = server.hms.get_table("t")
         txn = tm.open_transaction()
         wid = tm.allocate_write_id(txn, table.qualified_name)
         AcidWriter(server.fs).write_insert_delta(
-            table.location, wid, table.schema, [(999,)])
+            table.location, wid,
+            VectorBatch.from_rows(table.schema, [(999,)]))
         tm.abort(txn)
         session.conf.results_cache_enabled = False
         assert session.execute("SELECT COUNT(*) FROM t").rows == [(1,)]

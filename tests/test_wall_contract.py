@@ -45,9 +45,9 @@ SIGNATURES = {
     ("repro.acid.reader:AcidReader", "read_plain"):
         ["self", "location", "schema", "columns", "sargs", "file_format"],
     ("repro.acid.writer:AcidWriter", "write_insert_delta"):
-        ["self", "location", "write_id", "schema", "rows", "bloom_columns"],
+        ["self", "location", "write_id", "batch", "bloom_columns"],
     ("repro.acid.writer:AcidWriter", "write_delete_delta"):
-        ["self", "location", "write_id", "row_ids"],
+        ["self", "location", "write_id", "ids"],
     ("repro.runtime.scan:ScanExecutor", "__call__"): ["self", "node"],
     ("repro.exec.operators", "execute"): ["node", "ctx"],
     ("repro.acid.compactor:CompactionCleaner", "run"): ["self"],
