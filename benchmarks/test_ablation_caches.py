@@ -58,7 +58,6 @@ def test_llap_cache_warm_scan(benchmark, session):
     session.conf.results_cache_enabled = False
     server = session.server
     server.llap_cache.clear()
-    server.llap_factory.io.reset()
     cold = session.execute(QUERY + " LIMIT 5")
     cold_disk = cold.metrics.disk_bytes
     warm = session.execute(QUERY + " LIMIT 5")

@@ -7,9 +7,10 @@ deltas that apply to their WriteId range (Section 3.2).  Delete deltas
 are usually small, so the tombstone set is materialized in memory —
 exactly the optimization the paper describes.
 
-The reader also reports :class:`ReadMetrics` (bytes touched, row groups
-skipped, merge effort) that feed the runtime's cost model and the ACID
-ablation benchmark.
+Every read returns its :class:`ReadMetrics` — the one IO ledger of that
+read: the reader factory and the readers it hands out charge bytes and
+opens to it by source, this module adds row groups and merge effort, and
+the runtime's cost model and the ACID ablation benchmark consume it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 
 from ..common.rows import Schema
 from ..common.vector import VectorBatch
-from ..formats.orc import OrcReader, SargPredicate
+from ..formats.orc import SargPredicate
 from ..fs import SimFileSystem
+from ..llap.elevator import DirectReaderFactory
 from ..metastore.txn import ValidWriteIdList
 from .layout import select_acid_state
 from .writer import ACID_META_COLUMNS, BUCKET_FILE, id_tuples, record_ids
@@ -32,32 +34,21 @@ META_NAMES = [c.name for c in ACID_META_COLUMNS]
 
 @dataclass
 class ReadMetrics:
-    bytes_read: int = 0
+    """What one directory read cost, charged by whoever served it."""
+
+    disk_bytes: int = 0
+    cache_bytes: int = 0
     metadata_bytes: int = 0
     files_opened: int = 0
     row_groups_total: int = 0
     row_groups_read: int = 0
     delete_keys: int = 0
-    rows_merged: int = 0
     rows_deleted: int = 0
     #: injected read errors retried during this read (repro.faults)
     io_retries: int = 0
     #: bytes re-transferred by those retries
     retry_bytes: int = 0
     directories: list[str] = field(default_factory=list)
-
-    def merge(self, other: "ReadMetrics") -> None:
-        self.bytes_read += other.bytes_read
-        self.metadata_bytes += other.metadata_bytes
-        self.files_opened += other.files_opened
-        self.row_groups_total += other.row_groups_total
-        self.row_groups_read += other.row_groups_read
-        self.delete_keys += other.delete_keys
-        self.rows_merged += other.rows_merged
-        self.rows_deleted += other.rows_deleted
-        self.io_retries += other.io_retries
-        self.retry_bytes += other.retry_bytes
-        self.directories.extend(other.directories)
 
 
 class AcidReader:
@@ -71,12 +62,7 @@ class AcidReader:
 
     def __init__(self, fs: SimFileSystem, reader_factory=None):
         self.fs = fs
-        self.reader_factory = reader_factory
-
-    def _open(self, path: str):
-        if self.reader_factory is not None:
-            return self.reader_factory.open(path)
-        return OrcReader(self.fs.read(path))
+        self.reader_factory = reader_factory or DirectReaderFactory(fs)
 
     # -- ACID path ------------------------------------------------------------ #
     def read(self, location: str, valid: ValidWriteIdList,
@@ -86,8 +72,6 @@ class AcidReader:
              ) -> tuple[VectorBatch, ReadMetrics]:
         """Merge-on-read of one ACID directory under a snapshot."""
         metrics = ReadMetrics()
-        faults_before = (self.fs.stats.io_retries,
-                         self.fs.stats.retry_bytes)
         dir_names = [d.rsplit("/", 1)[-1]
                      for d in self.fs.list_dirs(location)]
         state = select_acid_state(dir_names, valid)
@@ -123,11 +107,8 @@ class AcidReader:
 
         if out_schema is None:
             out_schema = self._projected_schema(location, columns,
-                                                include_row_ids)
-        result = VectorBatch.concat(out_schema, batches)
-        metrics.rows_merged = result.num_rows
-        self._capture_fault_stats(metrics, faults_before)
-        return result, metrics
+                                                include_row_ids, metrics)
+        return VectorBatch.concat(out_schema, batches), metrics
 
     # -- non-ACID path --------------------------------------------------------- #
     def read_plain(self, location: str, schema: Schema,
@@ -136,48 +117,28 @@ class AcidReader:
                    file_format: str = "orc",
                    ) -> tuple[VectorBatch, ReadMetrics]:
         metrics = ReadMetrics()
-        faults_before = (self.fs.stats.io_retries,
-                         self.fs.stats.retry_bytes)
         names = list(columns) if columns is not None else schema.names()
         out_schema = schema.select(names)
         if file_format == "text":
-            batch, metrics = self._read_plain_text(location, schema,
-                                                   names, out_schema,
-                                                   metrics)
-            self._capture_fault_stats(metrics, faults_before)
-            return batch, metrics
+            return self._read_plain_text(location, schema, names,
+                                         out_schema, metrics)
         batches = []
         for status in self.fs.list_files(location):
-            reader = self._open(status.path)
-            metrics.files_opened += 1
-            metrics.metadata_bytes += reader.metadata_bytes
-            groups = reader.select_row_groups(sargs)
-            metrics.row_groups_total += len(reader.row_groups)
-            metrics.row_groups_read += len(groups)
-            for g in groups:
-                batch = reader.read_row_group(g, names)
-                metrics.bytes_read += sum(
-                    reader.column_chunk_bytes(g, n) for n in names)
-                batches.append(batch)
-        self._capture_fault_stats(metrics, faults_before)
+            batches += self._read_groups(self.reader_factory.open(
+                status.path, metrics), names, sargs, metrics)
         return VectorBatch.concat(out_schema, batches), metrics
-
-    def _capture_fault_stats(self, metrics: ReadMetrics,
-                             before: tuple[int, int]) -> None:
-        """Attribute injected-retry costs accrued during this read."""
-        metrics.io_retries = self.fs.stats.io_retries - before[0]
-        metrics.retry_bytes = self.fs.stats.retry_bytes - before[1]
 
     def _read_plain_text(self, location, schema, names, out_schema,
                          metrics):
         """Text files have no indexes: every byte is read, no pruning —
-        the contrast that motivated the columnar format ([39])."""
+        the contrast that motivated the columnar format ([39]).  Nor is
+        there a reader object to charge the ledger, so this does."""
         from ..formats.text import TextReader
         batches = []
         for status in self.fs.list_files(location):
-            data = self.fs.read(status.path)
+            data = self.fs.read(status.path, metrics)
             metrics.files_opened += 1
-            metrics.bytes_read += len(data)
+            metrics.disk_bytes += len(data)
             batch = TextReader(schema, data).read_batch()
             indices = [schema.index_of(n) for n in names]
             batches.append(batch.project(indices, out_schema))
@@ -189,11 +150,7 @@ class AcidReader:
         deleted: set[tuple[int, int, int]] = set()
         for delta in delete_deltas:
             path = f"{location}/{delta.name}/{BUCKET_FILE}"
-            reader = self._open(path)
-            metrics.files_opened += 1
-            metrics.metadata_bytes += reader.metadata_bytes
-            batch = reader.read_all()
-            metrics.bytes_read += self.fs.status(path).length
+            batch = self.reader_factory.open(path, metrics).read_all()
             # tombstones of aborted or not-yet-visible deletes do not count
             batch = batch.filter(valid_mask(valid, batch.vectors[0].data))
             deleted.update(id_tuples(batch.vectors[1:]))
@@ -206,23 +163,13 @@ class AcidReader:
                        metrics: ReadMetrics,
                        check_row_validity: bool) -> VectorBatch | None:
         path = f"{directory}/{BUCKET_FILE}"
-        reader = self._open(path)
-        metrics.files_opened += 1
-        metrics.metadata_bytes += reader.metadata_bytes
+        reader = self.reader_factory.open(path, metrics)
         data_names = (list(columns) if columns is not None
                       else [c.name for c in reader.schema
                             if c.name not in META_NAMES])
         read_names = META_NAMES + [n for n in data_names
                                    if n not in META_NAMES]
-        groups = reader.select_row_groups(sargs)
-        metrics.row_groups_total += len(reader.row_groups)
-        metrics.row_groups_read += len(groups)
-        batches = []
-        for g in groups:
-            batch = reader.read_row_group(g, read_names)
-            metrics.bytes_read += sum(
-                reader.column_chunk_bytes(g, n) for n in read_names)
-            batches.append(batch)
+        batches = self._read_groups(reader, read_names, sargs, metrics)
         if not batches:
             return None
         merged = VectorBatch.concat(batches[0].schema, batches)
@@ -244,8 +191,18 @@ class AcidReader:
         indices = [merged.schema.index_of(n) for n in out_names]
         return merged.project(indices, merged.schema.select(out_names))
 
+    @staticmethod
+    def _read_groups(reader, names, sargs,
+                     metrics: ReadMetrics) -> list[VectorBatch]:
+        """The row groups ``sargs`` keep; the reader charges their bytes."""
+        groups = reader.select_row_groups(sargs)
+        metrics.row_groups_total += len(reader.row_groups)
+        metrics.row_groups_read += len(groups)
+        return [reader.read_row_group(g, names) for g in groups]
+
     def _projected_schema(self, location: str, columns,
-                          include_row_ids: bool) -> Schema:
+                          include_row_ids: bool,
+                          metrics: ReadMetrics) -> Schema:
         """Schema of an empty result (no readable directories)."""
         # fall back to any file present to learn the table schema
         statuses = self.fs.list_files(location, recursive=True)
@@ -253,7 +210,7 @@ class AcidReader:
             # a delete delta holds record ids only, not the table's columns
             if status.path.endswith(BUCKET_FILE) \
                     and "/delete_delta_" not in status.path:
-                reader = self._open(status.path)
+                reader = self.reader_factory.open(status.path, metrics)
                 data_names = (list(columns) if columns is not None
                               else [c.name for c in reader.schema
                                     if c.name not in META_NAMES])

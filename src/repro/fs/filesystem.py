@@ -152,12 +152,18 @@ class SimFileSystem:
             self.stats.bytes_written += len(data)
             return entry
 
-    def read(self, path: str) -> bytes:
+    def read(self, path: str, io=None) -> bytes:
+        """``io`` is the caller's ledger: the injected re-reads of *this*
+        read are charged there; ``stats`` keeps the server-wide totals."""
         with self._lock:
             entry = self._entry(path)
             self.stats.files_opened += 1
             self.stats.bytes_read += len(entry.data)
-            self._inject_read_faults(entry.path, len(entry.data))
+            failures = self._inject_read_faults(entry.path,
+                                                len(entry.data))
+        if io is not None and failures:
+            io.io_retries += failures
+            io.retry_bytes += failures * len(entry.data)
         return entry.data
 
     def read_range(self, path: str, offset: int, length: int) -> bytes:
@@ -170,17 +176,18 @@ class SimFileSystem:
             self._inject_read_faults(entry.path, len(chunk))
         return chunk
 
-    def _inject_read_faults(self, path: str, nbytes: int) -> None:
+    def _inject_read_faults(self, path: str, nbytes: int) -> int:
         """Charge injected read errors: every failed attempt re-opens the
         file and re-transfers the bytes before the bounded final attempt
-        succeeds, so faults change IO cost but never file contents."""
+        succeeds, so faults change IO cost but never file contents.
+        Returns the failed attempts."""
         registry = self.fault_registry
         if registry is None or registry.io_error_rate <= 0.0:
-            return
+            return 0
         failures = registry.failed_attempts(
             "fs.read", path, registry.io_error_rate, registry.max_io_retries)
         if not failures:
-            return
+            return 0
         with self._lock:   # reentrant: read paths already hold it
             self.stats.files_opened += failures
             self.stats.bytes_read += failures * nbytes
@@ -188,6 +195,7 @@ class SimFileSystem:
             self.stats.retry_bytes += failures * nbytes
         registry.record("fs.read", path, attempts=failures,
                         detail=f"reread {failures}x{nbytes}B")
+        return failures
 
     def status(self, path: str) -> FileStatus:
         with self._lock:

@@ -12,13 +12,16 @@ Two implementations of the same interface:
   the cached metadata *before* deciding which chunks to load, so chunks
   that a predicate excludes never trash the cache.
 
-Both factories expose cumulative :class:`IOBreakdown` counters which the
-cost model converts into virtual IO time.
+Both factories' ``open(path, io)`` take the ledger of the one directory
+read that asked (``acid.reader.ReadMetrics``, duck-typed here): whoever
+serves a chunk knows its source and charges ``io.disk_bytes`` or
+``io.cache_bytes`` there, which the cost model converts into virtual IO
+time.  Nothing is summed per factory: the LLAP factory is shared by
+every session, and a server-wide counter cannot say whose bytes moved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..common.vector import ColumnVector, VectorBatch
@@ -28,75 +31,17 @@ from .cache import ChunkKey, LlapCache
 from .placement import node_of
 
 
-@dataclass
-class IOBreakdown:
-    """Bytes by source; the cost model charges different throughputs."""
-
-    disk_bytes: int = 0
-    cache_bytes: int = 0
-    metadata_bytes: int = 0
-    files_opened: int = 0
-
-    def merge(self, other: "IOBreakdown") -> None:
-        self.disk_bytes += other.disk_bytes
-        self.cache_bytes += other.cache_bytes
-        self.metadata_bytes += other.metadata_bytes
-        self.files_opened += other.files_opened
-
-    def reset(self) -> None:
-        self.disk_bytes = 0
-        self.cache_bytes = 0
-        self.metadata_bytes = 0
-        self.files_opened = 0
-
-
 class DirectReaderFactory:
     """Cold reads straight from the file system (Tez container mode)."""
 
     def __init__(self, fs: SimFileSystem):
         self.fs = fs
-        self.io = IOBreakdown()
 
-    def open(self, path: str):
-        data = self.fs.read(path)
-        reader = OrcReader(data)
-        self.io.files_opened += 1
-        self.io.metadata_bytes += reader.metadata_bytes
-        return _DirectReader(reader, self.io)
-
-
-class _DirectReader:
-    """Charges every chunk it decodes as disk bytes."""
-
-    def __init__(self, reader: OrcReader, io: IOBreakdown):
-        self._reader = reader
-        self._io = io
-        self.schema = reader.schema
-        self.num_rows = reader.num_rows
-        self.row_groups = reader.row_groups
-        self.metadata_bytes = reader.metadata_bytes
-
-    def select_row_groups(self, sargs: Sequence[SargPredicate] = ()):
-        return self._reader.select_row_groups(sargs)
-
-    def read_row_group(self, group: int,
-                       columns: Sequence[str] | None = None) -> VectorBatch:
-        names = (list(columns) if columns is not None
-                 else self.schema.names())
-        for name in names:
-            self._io.disk_bytes += self._reader.column_chunk_bytes(
-                group, name)
-        return self._reader.read_row_group(group, names)
-
-    def read_all(self, columns=None, sargs=()):
-        names = (list(columns) if columns is not None
-                 else self.schema.names())
-        groups = self.select_row_groups(sargs)
-        batches = [self.read_row_group(g, names) for g in groups]
-        return VectorBatch.concat(self.schema.select(names), batches)
-
-    def column_chunk_bytes(self, group: int, column: str) -> int:
-        return self._reader.column_chunk_bytes(group, column)
+    def open(self, path: str, io):
+        reader = OrcReader(self.fs.read(path, io))
+        io.files_opened += 1
+        io.metadata_bytes += reader.metadata_bytes
+        return _DirectReader(reader, io)
 
 
 class LlapReaderFactory:
@@ -105,28 +50,26 @@ class LlapReaderFactory:
     def __init__(self, fs: SimFileSystem, cache: LlapCache):
         self.fs = fs
         self.cache = cache
-        self.io = IOBreakdown()
         #: metadata cache: (file_id, length) -> parsed OrcReader
         self._metadata: dict[tuple[int, int], OrcReader] = {}
         #: directory -> metadata keys opened under it, so ``forget``
         #: never has to list the file system
         self._by_dir: dict[str, list[tuple[int, int]]] = {}
 
-    def open(self, path: str):
+    def open(self, path: str, io):
         status = self.fs.status(path)
         key = (status.file_id, status.length)
         reader = self._metadata.get(key)
         if reader is None:
-            data = self.fs.read(path)
-            reader = OrcReader(data)
+            reader = OrcReader(self.fs.read(path, io))
             self._metadata[key] = reader
             self._by_dir.setdefault(path.rsplit("/", 1)[0], []).append(key)
             # a fresh open pays for the footer read from disk
-            self.io.metadata_bytes += reader.metadata_bytes
-            self.io.disk_bytes += reader.metadata_bytes
-        self.io.files_opened += 1
-        return _CachedReader(reader, status.file_id, status.length,
-                             self.cache, self.io)
+            io.metadata_bytes += reader.metadata_bytes
+            io.disk_bytes += reader.metadata_bytes
+        io.files_opened += 1
+        return _CachedReader(reader, io, status.file_id, status.length,
+                             self.cache)
 
     def forget(self, directories: Sequence[str]) -> int:
         """The compaction Cleaner removed ``directories``: drop their
@@ -153,19 +96,19 @@ class LlapReaderFactory:
 
 
 class _CachedReader:
-    """Serves row-column chunks through the LLAP cache."""
+    """Serves row-column chunks through the LLAP cache, charging each
+    to the ledger it was opened with."""
 
-    def __init__(self, reader: OrcReader, file_id: int, length: int,
-                 cache: LlapCache, io: IOBreakdown):
+    def __init__(self, reader: OrcReader, io, file_id: int = 0,
+                 length: int = 0, cache: LlapCache | None = None):
+        # the defaults are _DirectReader's, which never keys a chunk
         self._reader = reader
+        self._io = io
         self._file_id = file_id
         self._length = length
         self._cache = cache
-        self._io = io
         self.schema = reader.schema
-        self.num_rows = reader.num_rows
         self.row_groups = reader.row_groups
-        self.metadata_bytes = reader.metadata_bytes
 
     def select_row_groups(self, sargs: Sequence[SargPredicate] = ()):
         return self._reader.select_row_groups(sargs)
@@ -196,5 +139,17 @@ class _CachedReader:
         batches = [self.read_row_group(g, names) for g in groups]
         return VectorBatch.concat(self.schema.select(names), batches)
 
-    def column_chunk_bytes(self, group: int, column: str) -> int:
-        return self._reader.column_chunk_bytes(group, column)
+
+class _DirectReader(_CachedReader):
+    """No cache: every chunk it decodes is charged as disk bytes.  (The
+    cached reader is the base because the wall tracer patches
+    ``read_row_group`` / ``read_all`` on ``_CachedReader`` itself.)"""
+
+    def read_row_group(self, group: int,
+                       columns: Sequence[str] | None = None) -> VectorBatch:
+        names = (list(columns) if columns is not None
+                 else self.schema.names())
+        for name in names:
+            self._io.disk_bytes += self._reader.column_chunk_bytes(
+                group, name)
+        return self._reader.read_row_group(group, names)

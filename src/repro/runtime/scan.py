@@ -9,6 +9,7 @@ Routes a :class:`~repro.plan.relnodes.TableScan` to the right data path:
 * **plain** tables read their files directly,
 
 always through the active reader factory (direct or LLAP I/O elevator),
+which charges each read's own ledger (``ReadMetrics``) by chunk source,
 applying pushed sargs for row-group pruning, appending partition-column
 constants, and applying dynamic semijoin filters (range + Bloom,
 Section 4.6) as data streams out.
@@ -261,7 +262,6 @@ class ScanExecutor:
         for values, location in locations:
             if not self.fs.exists(location):
                 continue
-            io_before = self._io_snapshot()
             if table.is_acid:
                 valid = self.valid_write_ids.get(table.qualified_name)
                 if valid is None:
@@ -276,7 +276,7 @@ class ScanExecutor:
                 batch, read_metrics = reader.read_plain(
                     location, table.schema, columns=data_names or None,
                     sargs=sargs, file_format=table.file_format)
-            self._account_io(io_before, read_metrics, metrics)
+            self._account_io(read_metrics, metrics)
             if batch.num_rows == 0 and len(batch.schema) == 0:
                 continue
             batch = self._with_partition_columns(
@@ -291,34 +291,18 @@ class ScanExecutor:
             aligned.append(batch.project(idx, node.schema))
         return VectorBatch.concat(node.schema, aligned)
 
-    def _io_snapshot(self):
-        factory = self.reader_factory
-        if factory is not None and hasattr(factory, "io"):
-            io = factory.io
-            return (io.disk_bytes, io.cache_bytes, io.metadata_bytes,
-                    io.files_opened)
-        return self.fs.stats.bytes_read, 0, 0, self.fs.stats.files_opened
-
-    def _account_io(self, before, read_metrics, metrics: ScanMetrics):
-        factory = self.reader_factory
-        if factory is not None and hasattr(factory, "io"):
-            io = factory.io
-            metrics.disk_bytes += io.disk_bytes - before[0]
-            metrics.cache_bytes += io.cache_bytes - before[1]
-            metrics.metadata_bytes += io.metadata_bytes - before[2]
-            metrics.files_opened += io.files_opened - before[3]
-            # the elevator models disk_bytes from chunk sizes, so the
-            # re-reads injected at the fs layer must be charged on top
-            metrics.disk_bytes += read_metrics.retry_bytes
-            metrics.files_opened += read_metrics.io_retries
-        else:
-            metrics.disk_bytes += self.fs.stats.bytes_read - before[0]
-            metrics.files_opened += (self.fs.stats.files_opened
-                                     - before[3])
-            metrics.metadata_bytes += read_metrics.metadata_bytes
-        metrics.row_groups_total += read_metrics.row_groups_total
-        metrics.row_groups_read += read_metrics.row_groups_read
-        metrics.io_retries += read_metrics.io_retries
+    @staticmethod
+    def _account_io(read, metrics: ScanMetrics) -> None:
+        """Add what one directory read reports: its readers charged the
+        read's own ledger by chunk size, so the re-reads injected at the
+        fs layer go on top."""
+        metrics.disk_bytes += read.disk_bytes + read.retry_bytes
+        metrics.cache_bytes += read.cache_bytes
+        metrics.metadata_bytes += read.metadata_bytes
+        metrics.files_opened += read.files_opened + read.io_retries
+        metrics.row_groups_total += read.row_groups_total
+        metrics.row_groups_read += read.row_groups_read
+        metrics.io_retries += read.io_retries
 
     def _with_partition_columns(self, node: rel.TableScan,
                                 table: TableDescriptor,

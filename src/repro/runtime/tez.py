@@ -608,8 +608,8 @@ class TezRunner:
             return 0.0
         node = faults.pick("node.death.which", query_id, conf.num_nodes)
         dropped = 0
-        factory = getattr(scan_executor, "reader_factory", None)
-        if factory is not None and hasattr(factory, "invalidate_node"):
+        factory = scan_executor.reader_factory   # the LLAP one, or None
+        if factory is not None:
             dropped = factory.invalidate_node(node, conf.num_nodes)
         cost = conf.cost
         failover_s = cost.container_startup_s + cost.task_setup_s

@@ -28,7 +28,7 @@ from ..exec.operators import ExecutionContext, execute
 from ..faults import FaultRegistry
 from ..fs import SimFileSystem
 from ..llap.cache import LlapCache
-from ..llap.elevator import DirectReaderFactory, LlapReaderFactory
+from ..llap.elevator import LlapReaderFactory
 from ..llap.workload import (Pool, ResourcePlan, Trigger, TriggerAction,
                              WorkloadManager)
 from ..metastore.catalog import (Constraints, ForeignKey,
@@ -534,9 +534,10 @@ class Session:
             query_id=self._trace.query_id if self._trace else 0)
 
     def _reader_factory(self):
+        """The LLAP elevator, or None: ``AcidReader`` then reads direct."""
         if self.conf.llap_enabled and self.conf.llap_cache_enabled:
             return self.server.llap_factory
-        return DirectReaderFactory(self.fs)
+        return None
 
     # ------------------------------------------------------------------ #
     # SELECT path

@@ -1,11 +1,22 @@
 """Shared fixtures for the test suite."""
 
+import sys
+
 import pytest
 
 import repro
 from repro.common.rows import Column, Schema
 from repro.common.types import DATE, DOUBLE, INT, STRING
 from repro.config import HiveConf
+
+
+@pytest.fixture
+def switch_interval():
+    """``sys.setswitchinterval`` for one test, restored afterwards:
+    attribution tests shorten it so two threads really interleave."""
+    old = sys.getswitchinterval()
+    yield sys.setswitchinterval
+    sys.setswitchinterval(old)
 
 
 @pytest.fixture

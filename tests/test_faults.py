@@ -13,6 +13,7 @@ import threading
 import pytest
 
 import repro
+from repro.acid.reader import AcidReader
 from repro.config import HiveConf
 from repro.errors import TransactionError
 from repro.faults import FaultRegistry
@@ -175,6 +176,50 @@ class TestSeededInjection:
         assert rows == [(6,)]
         assert session.fs.stats.io_retries > before
         assert session.fs.stats.retry_bytes > 0
+
+    def test_retries_charged_to_the_read_that_suffered_them(
+            self, switch_interval):
+        """``fs.read(path, io)`` charges the caller's ledger, so a read
+        reports its own failed attempts while another thread's reads of
+        another table move the server-wide ``fs.stats``."""
+        session = load_warehouse(repro.HiveServer2(fault_conf(
+            faults_io_error_rate=0.6)))
+        session.execute("CREATE TABLE other (a INT)")
+        for i in range(4):
+            session.execute(f"INSERT INTO other VALUES ({i})")
+        fs, faults = session.fs, session.server.faults
+        sales, other = (session.hms.get_table(name)
+                        for name in ("sales", "other"))
+        schedule = [
+            (faults.failed_attempts("fs.read", status.path, 0.6,
+                                    faults.max_io_retries), status.length)
+            for status in fs.list_files(sales.location, recursive=True)]
+        expected = (sum(n for n, _ in schedule),
+                    sum(n * length for n, length in schedule))
+        assert expected[0] > 0
+        tm = session.hms.txn_manager
+        snapshot = tm.get_snapshot()
+
+        def read(table):
+            return AcidReader(fs).read(table.location, tm.valid_write_ids(
+                snapshot, table.qualified_name))[1]
+
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                read(other)
+
+        noise = threading.Thread(target=churn)
+        switch_interval(1e-4)
+        noise.start()
+        try:
+            seen = {(m.io_retries, m.retry_bytes)
+                    for m in (read(sales) for _ in range(100))}
+        finally:
+            stop.set()
+            noise.join()
+        assert seen == {expected}
 
 
 class TestSpeculation:

@@ -3,12 +3,15 @@
 filters, and IO attribution.
 """
 
+import threading
+
 import pytest
 
 import repro
 from repro.common.bloom import BloomFilter
 from repro.config import HiveConf
 from repro.plan import relnodes as rel
+from repro.service import HiveService
 from repro.runtime.scan import ScanMetrics, SemijoinFilter, _rex_to_sarg
 from repro.plan.rexnodes import RexCall, RexInputRef, RexLiteral, make_call
 from repro.common.types import DATE, INT, STRING
@@ -41,7 +44,6 @@ class TestPartitionedScans:
 
     def test_pruning_reduces_io(self, session):
         session.server.llap_cache.clear()
-        session.server.llap_factory.io.reset()
         session.server.llap_factory._metadata.clear()
         full = session.execute("SELECT SUM(v) FROM p")
         session.server.llap_cache.clear()
@@ -226,7 +228,6 @@ class TestScanMetrics:
         server = session.server
         server.llap_cache.clear()
         server.llap_factory._metadata.clear()
-        server.llap_factory.io.reset()
         cold = session.execute("SELECT SUM(v) FROM p")
         warm = session.execute("SELECT SUM(v) FROM p")
         assert cold.metrics.disk_bytes > 0
@@ -238,3 +239,105 @@ class TestScanMetrics:
         direct = session.execute("SELECT SUM(v) FROM p")
         assert direct.metrics.cache_bytes == 0
         assert direct.metrics.disk_bytes > 0
+
+    @pytest.mark.parametrize("llap", [True, False], ids=["llap", "direct"])
+    def test_text_table_is_charged_every_byte_it_reads(self, session, llap):
+        """No indexes, no cache: a text scan costs its files' lengths
+        from disk on every run — the contrast with ORC ([39])."""
+        session.conf.llap_enabled = session.conf.llap_cache_enabled = llap
+        session.execute(
+            "CREATE TABLE x (a INT, b STRING) STORED AS TEXTFILE")
+        rows = ", ".join(f"({i}, 'b{i}')" for i in range(500))
+        session.execute(f"INSERT INTO x VALUES {rows}")
+        files = session.fs.list_files(
+            session.hms.get_table("x").location, recursive=True)
+        for _ in range(2):
+            result = session.execute("SELECT COUNT(*), MAX(b) FROM x")
+            assert result.rows == [(500, "b99")]
+            assert result.metrics.disk_bytes == sum(
+                f.length for f in files) > 0
+            assert result.metrics.cache_bytes == 0
+            assert result.metrics.io_s > 0
+            scan, = result.profile.scan_metrics.values()
+            assert scan.files_opened == len(files)
+        series = dict(session.execute(
+            "SELECT labels, value FROM sys.metrics "
+            "WHERE name = 'scan.disk_bytes'").rows)
+        assert series["table=default.x"] == 2 * result.metrics.disk_bytes
+
+
+class TestConcurrentAttribution:
+    """A statement is charged its own bytes when another runs beside it:
+    the readers charge the ledger of the read that asked, never a
+    counter the other caller can move."""
+
+    SQL = "SELECT ds, COUNT(*), SUM(v) FROM r GROUP BY ds"
+
+    @staticmethod
+    def load(session):
+        session.execute(
+            "CREATE TABLE r (v INT, w STRING) PARTITIONED BY (ds INT)")
+        rows = ", ".join(f"({i}, 'w{i}', {i % 30})" for i in range(600))
+        session.execute(f"INSERT INTO r VALUES {rows}")
+
+    @staticmethod
+    def race(workers):
+        threads = [threading.Thread(target=w) for w in workers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    def test_two_sessions_one_server(self, switch_interval):
+        server = repro.HiveServer2(HiveConf.v3_profile())
+        sessions = [server.connect(), server.connect()]
+        for s in sessions:
+            s.conf.results_cache_enabled = False
+        self.load(sessions[0])
+
+        def charge(session):
+            m = session.execute(self.SQL).metrics
+            return m.disk_bytes, m.cache_bytes, m.total_s
+
+        for s in sessions:
+            charge(s)                               # warm cache and plans
+        alone = charge(sessions[0])
+        assert alone[0] == 0 and alone[1] > 0
+        seen = [[], []]
+        switch_interval(5e-4)
+        self.race([lambda i=i: seen[i].extend(
+            charge(sessions[i]) for _ in range(150)) for i in range(2)])
+        assert set(seen[0] + seen[1]) == {alone}
+
+    def test_two_tenants_through_the_service(self, switch_interval):
+        service = HiveService(conf=HiveConf.v3_profile())
+        try:
+            self.load(service.server.connect())
+            handles = []
+            for tenant in ("alice", "bob"):
+                service.register_tenant(tenant)
+                handle = service.open_session(token=tenant)
+                handle.driver.conf.results_cache_enabled = False
+                service.execute(handle.session_id, self.SQL)    # warm
+                handles.append(handle)
+
+            def run(handle):
+                for _ in range(150):
+                    op = service.submit(handle.session_id, self.SQL)
+                    assert op.done.wait(30) and op.state == "finished"
+
+            run_alone = service.execute(handles[0].session_id, self.SQL)
+            log = service.server.obs.query_log
+            alone = log.last()
+            assert alone.query_id == run_alone.query_id
+            assert alone.disk_bytes == 0 and alone.cache_bytes > 0
+            switch_interval(5e-4)
+            self.race([lambda h=h: run(h) for h in handles])
+            raced = [e for e in log.entries()
+                     if e.query_id > alone.query_id]
+            assert len(raced) == 300
+            assert {(e.disk_bytes, e.cache_bytes, e.total_s)
+                    for e in raced} == {
+                (alone.disk_bytes, alone.cache_bytes, alone.total_s)}
+        finally:
+            service.shutdown()

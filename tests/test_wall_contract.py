@@ -49,6 +49,9 @@ SIGNATURES = {
     ("repro.acid.writer:AcidWriter", "write_delete_delta"):
         ["self", "location", "write_id", "ids"],
     ("repro.runtime.scan:ScanExecutor", "__call__"): ["self", "node"],
+    ("repro.llap.elevator:LlapReaderFactory", "open"):
+        ["self", "path", "io"],
+    ("repro.fs.filesystem:SimFileSystem", "read"): ["self", "path", "io"],
     ("repro.exec.operators", "execute"): ["node", "ctx"],
     ("repro.acid.compactor:CompactionCleaner", "run"): ["self"],
     ("repro.server.driver:HiveServer2", "run_compaction"): ["self"],

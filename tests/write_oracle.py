@@ -292,11 +292,7 @@ class LoopAcidReader(AcidReader):
         deleted: set[tuple[int, int, int]] = set()
         for delta in delete_deltas:
             path = f"{location}/{delta.name}/{BUCKET_FILE}"
-            reader = self._open(path)
-            metrics.files_opened += 1
-            metrics.metadata_bytes += reader.metadata_bytes
-            batch = reader.read_all()
-            metrics.bytes_read += self.fs.status(path).length
+            batch = self.reader_factory.open(path, metrics).read_all()
             wids = batch.column("__writeid__").data
             orig_wids = batch.column("__orig_writeid__").data
             buckets = batch.column("__bucket__").data
@@ -312,9 +308,7 @@ class LoopAcidReader(AcidReader):
                        include_row_ids, deleted, metrics,
                        check_row_validity):
         path = f"{directory}/{BUCKET_FILE}"
-        reader = self._open(path)
-        metrics.files_opened += 1
-        metrics.metadata_bytes += reader.metadata_bytes
+        reader = self.reader_factory.open(path, metrics)
         data_names = (list(columns) if columns is not None
                       else [c.name for c in reader.schema
                             if c.name not in META_NAMES])
@@ -325,10 +319,7 @@ class LoopAcidReader(AcidReader):
         metrics.row_groups_read += len(groups)
         batches = []
         for g in groups:
-            batch = reader.read_row_group(g, read_names)
-            metrics.bytes_read += sum(
-                reader.column_chunk_bytes(g, n) for n in read_names)
-            batches.append(batch)
+            batches.append(reader.read_row_group(g, read_names))
         if not batches:
             return None
         merged = VectorBatch.concat(batches[0].schema, batches)
