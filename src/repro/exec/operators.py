@@ -6,9 +6,11 @@
 this module for each fragment; scans are delegated to the context, which
 routes them through the ACID reader / LLAP elevator / storage handlers.
 
-Every operator records its output cardinality in
-``ctx.runtime_stats`` — the runtime statistics that query re-execution
-uses (Section 4.2).
+Every operator execution lands in one :class:`OperatorRun` per plan
+node in ``ctx.runs``: rows in and out, executions, wall time, the
+shuffle-key histogram, the scan's IO and a memoised result.  The
+runtime statistics query re-execution uses (Section 4.2), the cost
+model, ``EXPLAIN ANALYZE`` and ``sys.operator_log`` all read it.
 """
 
 from __future__ import annotations
@@ -35,30 +37,65 @@ MAX_CROSS_PRODUCT = 20_000_000
 KEY_HISTOGRAM_MAX_KEYS = 65_536
 
 
+@dataclass(slots=True)
+class OperatorRun:
+    """What one plan node did in one query.
+
+    Keyed by digest: a self-joined node runs once per digest and a DML
+    plan may run once per partition, so ``calls`` counts executions,
+    ``wall_s`` adds them up (each inclusive of its inputs) and
+    ``rows_in`` / ``rows_out`` are the last one's.  ``scan`` is a table
+    scan's ``ScanMetrics``, merged over its executions; ``virtual_s`` is
+    the share of its vertex's modeled time the runner attributes to it.
+    ``key_counts`` (the shuffle-key histogram the skew model reads) and
+    ``batch`` (a memoised result) serve the query while it runs; the
+    runner drops them before the statement record retains the run.
+    """
+
+    operator: str                 # plan-node class: "TableScan", "Join"...
+    digest: str
+    rows_in: int = 0
+    rows_out: int = 0
+    calls: int = 0
+    wall_s: float = 0.0
+    virtual_s: float = 0.0
+    scan: Optional[object] = None
+    key_counts: Optional[dict] = None
+    batch: Optional[VectorBatch] = None
+
+    def as_row(self, query_id: int, vertex: str) -> tuple:
+        """Row shape of ``sys.operator_log`` (see obs.systables)."""
+        return (query_id, vertex, self.operator, self.digest,
+                self.rows_in, self.rows_out, self.calls,
+                self.wall_s * 1000.0, self.virtual_s)
+
+
+def run_of(runs: dict, node: rel.RelNode) -> OperatorRun:
+    """``node``'s run in ``runs``, made on first use."""
+    digest = node.digest
+    run = runs.get(digest)
+    if run is None:
+        run = runs[digest] = OperatorRun(type(node).__name__, digest)
+    return run
+
+
 @dataclass
 class ExecutionContext:
     """Everything a fragment needs at run time."""
 
     #: scan delegate: TableScan -> VectorBatch (wired by the runtime)
     scan_executor: Callable[[rel.TableScan], VectorBatch]
-    #: per-operator output cardinalities (digest -> rows), for reopt
-    runtime_stats: dict = field(default_factory=dict)
+    #: digest -> OperatorRun of every operator executed; the runtime
+    #: shares it with its scan executor, which adds each scan's IO
+    runs: dict = field(default_factory=dict)
     #: dynamic semijoin filters keyed by reducer id (Section 4.6)
     semijoin_filters: dict = field(default_factory=dict)
     #: simulated available memory per hash join build, in rows; a build
     #: side exceeding it raises OutOfMemoryError (triggers reoptimization)
     hash_join_memory_rows: Optional[int] = None
     #: digests eligible for result reuse (shared work / semijoin sources);
-    #: results land in ``memo`` and re-executions are skipped
+    #: their result stays on the run and re-executions are skipped
     memo_digests: frozenset = frozenset()
-    memo: dict = field(default_factory=dict)
-    #: optional per-operator profile (repro.obs.ExecutionProfile): rows,
-    #: executions and wall time per digest, for EXPLAIN ANALYZE
-    profile: Optional[object] = None
-    #: per-key row distributions observed by shuffling operators
-    #: (digest -> {key: rows}); the runtime's skew analysis assigns the
-    #: keys to reducer tasks to model per-task duration spread
-    key_counts: dict = field(default_factory=dict)
     #: statement-scoped expression inputs (virtual statement time, RAND
     #: salt); defaults to the virtual epoch — never the wall clock
     eval_ctx: EvalContext = field(default_factory=EvalContext)
@@ -66,38 +103,38 @@ class ExecutionContext:
     #: a repeated statement skips lowering
     kernels: KernelCache = field(default_factory=KernelCache)
 
-    def record(self, node: rel.RelNode, rows: int) -> None:
-        self.runtime_stats[node.digest] = rows
+    def rows_of(self, digest: str) -> int:
+        """Output rows of ``digest``'s last execution (0 if none)."""
+        run = self.runs.get(digest)
+        return run.rows_out if run is not None else 0
+
+    def row_counts(self) -> dict:
+        """digest -> output rows of every operator that finished: the
+        runtime statistics re-optimization and the HMS feedback read."""
+        return {digest: run.rows_out for digest, run in self.runs.items()
+                if run.calls}
 
     def record_keys(self, node: rel.RelNode, counts: dict) -> None:
         """Keep the per-key distribution of a shuffling operator."""
         if counts and len(counts) <= KEY_HISTOGRAM_MAX_KEYS:
-            self.key_counts[node.digest] = counts
+            run_of(self.runs, node).key_counts = counts
 
 
 def execute(node: rel.RelNode, ctx: ExecutionContext) -> VectorBatch:
-    digest = None
-    if ctx.memo_digests:
-        digest = node.digest
-        if digest in ctx.memo:
-            return ctx.memo[digest]
+    run = run_of(ctx.runs, node)
+    if run.batch is not None:
+        return run.batch
     handler = _DISPATCH.get(type(node))
     if handler is None:
         raise ExecutionError(f"no executor for {type(node).__name__}")
-    if ctx.profile is not None:
-        t0 = time.perf_counter()
-        result = handler(node, ctx)
-        rows_in = sum(ctx.runtime_stats.get(child.digest, 0)
-                      for child in node.inputs)
-        ctx.profile.record(node.digest, result.num_rows,
-                           time.perf_counter() - t0,
-                           rows_in=rows_in,
-                           operator=type(node).__name__)
-    else:
-        result = handler(node, ctx)
-    ctx.record(node, result.num_rows)
-    if digest is not None and digest in ctx.memo_digests:
-        ctx.memo[digest] = result
+    t0 = time.perf_counter()
+    result = handler(node, ctx)
+    run.wall_s += time.perf_counter() - t0
+    run.calls += 1
+    run.rows_out = result.num_rows
+    run.rows_in = sum(ctx.rows_of(child.digest) for child in node.inputs)
+    if run.digest in ctx.memo_digests:
+        run.batch = result
     return result
 
 

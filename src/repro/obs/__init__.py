@@ -26,7 +26,6 @@ from here, so code written against the fragments keeps working.
 """
 
 from .live import LiveQuery, LiveQueryRegistry
-from .profile import ExecutionProfile
 from .query_log import RingLog, StatementRecord
 from .registry import (METRIC_HELP, Counter, Gauge, Histogram,
                        MetricsRegistry)
@@ -36,7 +35,7 @@ from .tracing import QueryTrace, Span
 
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "METRIC_HELP",
-    "QueryTrace", "Span", "ExecutionProfile",
+    "QueryTrace", "Span",
     "RingLog", "StatementRecord", "Observability",
     "TimeseriesStore", "Sample", "LiveQuery", "LiveQueryRegistry",
     "ClusterMonitor", "MonitorHttpServer", "render_prometheus",

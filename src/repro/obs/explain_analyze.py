@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..plan import relnodes as rel
-from .profile import ExecutionProfile
 
 
 #: width of the EXPLAIN ANALYZE per-vertex/per-operator time bars
@@ -40,64 +39,62 @@ def _fmt_bytes(n: int) -> str:
     return f"{n}B"
 
 
-def _annotate(node: rel.RelNode, profile: ExecutionProfile) -> str:
-    digest = node.digest
-    bits = []
-    rows = profile.operator_rows.get(digest)
-    if rows is not None:
-        bits.append(f"rows={rows}")
-    calls = profile.operator_calls.get(digest, 0)
-    if calls > 1:
-        bits.append(f"executions={calls}")
-    wall = profile.operator_wall_s.get(digest)
-    if wall is not None:
-        bits.append(f"wall={wall * 1000:.2f}ms")
-    if isinstance(node, rel.TableScan):
-        scan = profile.scan_metrics.get(digest)
-        if scan is not None:
-            if scan.raw_rows != scan.rows:
-                bits.append(f"raw_rows={scan.raw_rows}")
-            bits.append(f"disk={_fmt_bytes(scan.disk_bytes)}")
-            bits.append(f"cache={_fmt_bytes(scan.cache_bytes)}")
-            if scan.row_groups_total:
-                bits.append(f"row-groups={scan.row_groups_read}"
-                            f"/{scan.row_groups_total}")
-            if scan.partitions_total:
-                bits.append(f"partitions={scan.partitions_read}"
-                            f"/{scan.partitions_total}")
-            if scan.semijoin_filtered_rows:
-                bits.append(
-                    f"semijoin-filtered={scan.semijoin_filtered_rows}")
-            if scan.external_time_s:
-                bits.append(f"external={scan.external_time_s:.3f}s")
-    return "  [" + ", ".join(bits) + "]" if bits else ""
+def _annotate(node: rel.RelNode, runs: dict) -> str:
+    run = runs.get(node.digest)
+    if run is None or not run.calls:
+        return ""
+    bits = [f"rows={run.rows_out}"]
+    if run.calls > 1:
+        bits.append(f"executions={run.calls}")
+    bits.append(f"wall={run.wall_s * 1000:.2f}ms")
+    scan = run.scan
+    if scan is not None:
+        if scan.raw_rows != scan.rows:
+            bits.append(f"raw_rows={scan.raw_rows}")
+        bits.append(f"disk={_fmt_bytes(scan.disk_bytes)}")
+        bits.append(f"cache={_fmt_bytes(scan.cache_bytes)}")
+        if scan.row_groups_total:
+            bits.append(f"row-groups={scan.row_groups_read}"
+                        f"/{scan.row_groups_total}")
+        if scan.partitions_total:
+            bits.append(f"partitions={scan.partitions_read}"
+                        f"/{scan.partitions_total}")
+        if scan.semijoin_filtered_rows:
+            bits.append(f"semijoin-filtered={scan.semijoin_filtered_rows}")
+        if scan.external_time_s:
+            bits.append(f"external={scan.external_time_s:.3f}s")
+    return "  [" + ", ".join(bits) + "]"
 
 
-def _render_tree(node: rel.RelNode, profile: ExecutionProfile,
+def _render_tree(node: rel.RelNode, runs: dict,
                  indent: int = 0) -> list[str]:
-    line = "  " * indent + node._explain_label() \
-        + _annotate(node, profile)
+    line = "  " * indent + node._explain_label() + _annotate(node, runs)
     lines = [line]
     for child in node.inputs:
-        lines.extend(_render_tree(child, profile, indent + 1))
+        lines.extend(_render_tree(child, runs, indent + 1))
     return lines
 
 
-def render_explain_analyze(optimized, profile: ExecutionProfile,
+def render_explain_analyze(optimized, metrics,
                            reexecuted: bool = False,
                            views_used: Optional[list] = None,
                            inputs: Optional[list] = None,
                            outputs: Optional[list] = None
                            ) -> list[str]:
-    """Annotated-plan lines for one executed query.
+    """Annotated-plan lines for one executed query: each operator's
+    line reads its run off the vertices of ``metrics`` (QueryMetrics).
 
     ``inputs``/``outputs`` are the hook-context's resolved table lists
     — the driver passes the SAME resolution the audit log records, so
     EXPLAIN ANALYZE and ``sys.audit_log`` cannot disagree about what a
     statement touched.
     """
-    lines = _render_tree(optimized.root, profile)
-    metrics = profile.metrics
+    runs: dict = {}
+    if metrics is not None:
+        for vm in metrics.vertices:
+            for run in vm.operators:
+                runs.setdefault(run.digest, run)
+    lines = _render_tree(optimized.root, runs)
     if metrics is not None:
         lines.append(
             "-- time: total={:.3f}s queue={:.3f}s compile={:.3f}s "

@@ -15,8 +15,8 @@ Retention: both logs are :class:`RingLog`s — a bounded in-memory ring
 (``hive.obs.query.log.capacity`` / ``hive.audit.capacity``) whose
 evicted records are not lost: they spill to a :class:`SpillStore`
 (optionally file-persisted as JSON lines), so the sys tables still
-cover long workloads.  Records also carry the per-vertex and
-per-operator profile rows that back ``sys.vertex_log`` and
+cover long workloads.  A record holds the run's ``QueryMetrics``, whose
+vertices and operator runs back ``sys.vertex_log`` and
 ``sys.operator_log``.
 """
 
@@ -26,20 +26,25 @@ import json
 
 from ..common import sync
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 
-# slots: 36 attributes is past CPython's 30-key limit for key-sharing
-# instance dicts, and the rings retain thousands of these
+#: the sys.query_log latency columns of a statement that ran no plan
+_NO_LATENCY = (0.0,) * 8 + (0, 0, 0.0)
+
+
+# slots: the rings retain thousands of these
 @dataclass(slots=True)
 class StatementRecord:
     """What hooks observe about one statement.
 
     Built when the statement starts; enriched during compilation
-    (optimized plan, resolved inputs) and at completion (rows, latency).
+    (optimized plan, resolved inputs) and at completion (rows, and the
+    run's ``QueryMetrics``, held rather than copied).
     Mutating it from a hook affects later hooks in the same statement
-    but never the statement itself.
+    but never the statement itself — except through ``metrics``, which
+    is the statement's own ``QueryMetrics``: hooks read it, never write.
     """
 
     # -- identity
@@ -55,7 +60,6 @@ class StatementRecord:
     # -- outcome
     status: str = "ok"                 # ok | error | killed | denied
     error: str = ""
-    pool: str = ""
     from_cache: bool = False
     reexecuted: bool = False
     rows_produced: int = 0
@@ -63,18 +67,10 @@ class StatementRecord:
     # -- time (virtual seconds unless named otherwise)
     admission_wait_s: float = 0.0
     started_s: float = 0.0             # session virtual clock at start
-    total_s: float = 0.0
-    queue_s: float = 0.0
-    compile_s: float = 0.0
-    startup_s: float = 0.0
-    io_s: float = 0.0
-    cpu_s: float = 0.0
-    shuffle_s: float = 0.0
-    external_s: float = 0.0
-    disk_bytes: int = 0
-    cache_bytes: int = 0
-    cache_hit_fraction: float = 0.0
     wall_ms: float = 0.0
+    #: the run's QueryMetrics — latency breakdown, bytes, pool, and the
+    #: vertices with their operator runs; None when no plan ran
+    metrics: object = None
     # -- plan: the hash is retained; the EXPLAIN text and the
     # OptimizedPlan of the (last) SELECT compiled for this statement
     # are for the sinks only — record_query drops them afterwards
@@ -85,10 +81,14 @@ class StatementRecord:
     #: table -> set of column names actually read (post column pruning)
     input_columns: dict = field(default_factory=dict)
     output_tables: set = field(default_factory=set)
-    #: ``sys.vertex_log`` rows for this query (VertexMetrics.as_row)
-    vertices: list = field(default_factory=list)
-    #: ``sys.operator_log`` rows for this query (OperatorProfile.as_row)
-    operators: list = field(default_factory=list)
+
+    @property
+    def total_s(self) -> float:
+        return self.metrics.total_s if self.metrics is not None else 0.0
+
+    @property
+    def pool(self) -> str:
+        return self.metrics.pool if self.metrics is not None else ""
 
     @property
     def at_s(self) -> float:
@@ -112,14 +112,29 @@ class StatementRecord:
 
     def as_query_log_row(self) -> tuple:
         """Row shape of ``sys.query_log`` (see obs.systables)."""
+        m = self.metrics
+        latency = ((m.total_s, m.queue_s, m.compile_s, m.startup_s,
+                    m.io_s, m.cpu_s, m.shuffle_s, m.external_s,
+                    m.disk_bytes, m.cache_bytes, m.cache_hit_fraction)
+                   if m is not None else _NO_LATENCY)
         return (self.query_id, self.statement, self.database,
                 self.application, self.operation, self.status,
                 self.error, self.pool, self.from_cache, self.reexecuted,
                 self.rows_produced, self.rows_affected, self.started_s,
-                self.total_s, self.queue_s, self.compile_s,
-                self.startup_s, self.io_s, self.cpu_s, self.shuffle_s,
-                self.external_s, self.disk_bytes, self.cache_bytes,
-                self.cache_hit_fraction, self.wall_ms, self.fingerprint)
+                *latency, self.wall_ms, self.fingerprint)
+
+    def vertex_rows(self) -> list[tuple]:
+        """``sys.vertex_log`` rows for this query."""
+        if self.metrics is None:
+            return []
+        return [vm.as_row(self.query_id) for vm in self.metrics.vertices]
+
+    def operator_rows(self) -> list[tuple]:
+        """``sys.operator_log`` rows: one per operator run per vertex."""
+        if self.metrics is None:
+            return []
+        return [run.as_row(self.query_id, vm.name)
+                for vm in self.metrics.vertices for run in vm.operators]
 
     def as_audit_row(self) -> tuple:
         """Row shape of ``sys.audit_log`` (see obs.systables)."""
@@ -135,6 +150,8 @@ class StatementRecord:
         """The JSONL form of both spill files (the plan is not kept)."""
         data = {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "optimized"}
+        if self.metrics is not None:
+            data["metrics"] = asdict(self.metrics)
         data["input_columns"] = {table: sorted(columns) for table, columns
                                  in self.input_columns.items()}
         data["output_tables"] = self.outputs()
@@ -148,8 +165,10 @@ class StatementRecord:
         record.input_columns = {table: set(columns) for table, columns
                                 in record.input_columns.items()}
         record.output_tables = set(record.output_tables)
-        record.vertices = [tuple(row) for row in record.vertices]
-        record.operators = [tuple(row) for row in record.operators]
+        if record.metrics is not None:
+            # the runtime imports obs: resolve it only to read one back
+            from ..runtime.tez import QueryMetrics
+            record.metrics = QueryMetrics.from_dict(record.metrics)
         return record
 
 

@@ -264,7 +264,8 @@ class QueryStore:
             stats.executions += 1
             stats.last_seen_s = now_s
             stats.rows_produced += entry.rows_produced
-            stats.queue_s_sum += entry.queue_s
+            if entry.metrics is not None:
+                stats.queue_s_sum += entry.metrics.queue_s
             stats.wall_ms_sum += entry.wall_ms
             if entry.status != "ok":
                 stats.errors += 1
@@ -304,8 +305,9 @@ class QueryStore:
         plan.executions += 1
         plan.last_seen_s = now_s
         plan.rows_produced += entry.rows_produced
-        plan.disk_bytes += entry.disk_bytes
-        plan.cache_bytes += entry.cache_bytes
+        if entry.metrics is not None:
+            plan.disk_bytes += entry.metrics.disk_bytes
+            plan.cache_bytes += entry.metrics.cache_bytes
         plan.wall_ms_sum += entry.wall_ms
         if entry.status != "ok":
             plan.errors += 1

@@ -303,12 +303,12 @@ class SysTableHandler(StorageHandler):
                 for e in self.obs.query_log.all_entries()]
 
     def _rows_vertex_log(self) -> list[tuple]:
-        return [tuple(row) for e in self.obs.query_log.all_entries()
-                for row in e.vertices]
+        return [row for e in self.obs.query_log.all_entries()
+                for row in e.vertex_rows()]
 
     def _rows_operator_log(self) -> list[tuple]:
-        return [tuple(row) for e in self.obs.query_log.all_entries()
-                for row in e.operators]
+        return [row for e in self.obs.query_log.all_entries()
+                for row in e.operator_rows()]
 
     def _rows_wm_events(self) -> list[tuple]:
         return [event.as_row() for event in self.obs.wm_events.entries()]

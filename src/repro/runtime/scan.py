@@ -26,6 +26,7 @@ from ..acid.reader import META_NAMES, AcidReader
 from ..common.bloom import BloomFilter
 from ..common.vector import ColumnVector, VectorBatch
 from ..errors import ExecutionError, FederationError
+from ..exec.operators import run_of
 from ..formats.orc import SargPredicate
 from ..fs import SimFileSystem
 from ..metastore.catalog import TableDescriptor
@@ -91,7 +92,7 @@ class SemijoinFilter:
         return mask
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanMetrics:
     """Per-scan IO accounting consumed by the cost model."""
 
@@ -150,8 +151,16 @@ class ScanExecutor:
         #: optional observability hooks (repro.obs)
         self.registry = registry
         self.trace = trace
-        #: scan digest -> metrics, read by the DAG cost model
-        self.metrics: dict[str, ScanMetrics] = {}
+        #: digest -> OperatorRun, shared with the ExecutionContext the
+        #: runtime builds: each scan's ScanMetrics lands on its run
+        self.runs: dict = {}
+
+    @property
+    def metrics(self) -> dict:
+        """digest -> ScanMetrics of the scans run so far, read off
+        ``runs`` (the wall benchmark's tracer totals them per query)."""
+        return {digest: run.scan for digest, run in self.runs.items()
+                if run.scan is not None}
 
     # ------------------------------------------------------------------ #
     def __call__(self, node: rel.TableScan) -> VectorBatch:
@@ -166,11 +175,13 @@ class ScanExecutor:
         metrics.raw_rows = batch.num_rows
         batch = self._apply_semijoin_filters(node, batch, metrics)
         metrics.rows = batch.num_rows
-        existing = self.metrics.get(node.digest)
-        if existing is None:
-            self.metrics[node.digest] = metrics
+        run = run_of(self.runs, node)
+        if run.scan is None:
+            run.scan = metrics
         else:
-            existing.merge(metrics)
+            # a digest is scanned again where a context does not
+            # memoise it: its IO adds up on the one run
+            run.scan.merge(metrics)
         self._observe(node, metrics)
         return batch
 

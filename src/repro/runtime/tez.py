@@ -19,18 +19,17 @@ subexpressions are charged once (Section 4.5).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import HiveConf
 from ..errors import ExecutionError
 from ..exec.compile import EvalContext, KernelCache
-from ..exec.operators import ExecutionContext, execute
+from ..exec.operators import ExecutionContext, OperatorRun, execute, run_of
 from ..llap.workload import QueryAdmission, WorkloadManager
-from ..obs.profile import OperatorProfile
 from ..optimizer.planner import OptimizedPlan
 from ..plan import relnodes as rel
-from .scan import ScanExecutor, SemijoinFilter
+from .scan import ScanExecutor, ScanMetrics, SemijoinFilter
 
 _BREAKING = (rel.Join, rel.Aggregate, rel.Sort, rel.Limit, rel.Union,
              rel.SetOp, rel.Window)
@@ -148,7 +147,7 @@ def merge_shared_vertices(dag: Dag, shared_digests: frozenset) -> Dag:
 # --------------------------------------------------------------------------- #
 # metrics
 
-@dataclass
+@dataclass(slots=True)
 class VertexMetrics:
     name: str
     vertex_id: int = 0
@@ -179,7 +178,8 @@ class VertexMetrics:
     #: extra cluster work (re-run + backup attempts) for the busy floor;
     #: not a sys.vertex_log column
     retry_work_s: float = 0.0
-    #: per-operator runtime rows (repro.obs.OperatorProfile)
+    #: the OperatorRun of each plan node in the vertex, carrying the
+    #: share of the vertex's virtual time attributed to it
     operators: list = field(default_factory=list)
 
     @property
@@ -215,7 +215,7 @@ class VertexMetrics:
                 self.speculative_tasks, self.retry_s)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryMetrics:
     """Virtual-time breakdown for one query execution."""
 
@@ -238,6 +238,17 @@ class QueryMetrics:
     vertices: list[VertexMetrics] = field(default_factory=list)
     pool: str = ""
     moved_to_pool: Optional[str] = None
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "QueryMetrics":
+        """Rebuild from ``dataclasses.asdict`` output: a spilled statement
+        record's metrics, read back from JSON."""
+        vertices = [VertexMetrics(**{**vertex, "operators": [
+            OperatorRun(**{**run, "scan": run["scan"]
+                           and ScanMetrics(**run["scan"])})
+            for run in vertex["operators"]]})
+            for vertex in data["vertices"]]
+        return cls(**{**data, "vertices": vertices})
 
 
 # --------------------------------------------------------------------------- #
@@ -271,7 +282,7 @@ class TezRunner:
             application: Optional[str] = None,
             arrival_s: float = 0.0,
             hash_join_memory_rows: Optional[int] = None,
-            profile=None, trace=None, query_id: int = 0,
+            trace=None, query_id: int = 0,
             compile_overhead_s: Optional[float] = None,
             eval_ctx: Optional[EvalContext] = None,
             kernels: Optional[KernelCache] = None):
@@ -289,10 +300,10 @@ class TezRunner:
         """
         ctx = ExecutionContext(
             scan_executor=scan_executor,
+            runs=scan_executor.runs,
             semijoin_filters=scan_executor.semijoin_filters,
             hash_join_memory_rows=hash_join_memory_rows,
             memo_digests=self._memo_digests(plan),
-            profile=profile,
             eval_ctx=(eval_ctx if eval_ctx is not None
                       else EvalContext(query_id=query_id)),
             kernels=kernels if kernels is not None else KernelCache())
@@ -322,11 +333,11 @@ class TezRunner:
         except ExecutionError as failure:
             # expose runtime statistics captured so far — Section 4.2's
             # reoptimize strategy re-plans with these
-            failure.runtime_stats = dict(ctx.runtime_stats)
+            failure.runtime_stats = ctx.row_counts()
             raise
 
         metrics = self._account(plan, ctx, scan_executor, admission,
-                                profile=profile, query_id=query_id,
+                                query_id=query_id,
                                 compile_overhead_s=compile_overhead_s)
         metrics.rows_produced = result.num_rows
         metrics.queue_s = admission.queue_delay_s
@@ -339,9 +350,6 @@ class TezRunner:
                                  now_s=arrival_s + metrics.total_s)
             self.workload_manager.complete(
                 admission, arrival_s + metrics.total_s)
-        if profile is not None:
-            profile.scan_metrics.update(scan_executor.metrics)
-            profile.metrics = metrics
         if trace is not None:
             self._trace_vertices(trace, metrics, admission)
         self._publish(metrics)
@@ -361,7 +369,7 @@ class TezRunner:
     def _account(self, plan: OptimizedPlan, ctx: ExecutionContext,
                  scan_executor: ScanExecutor,
                  admission: QueryAdmission,
-                 profile=None, query_id: int = 0,
+                 query_id: int = 0,
                  compile_overhead_s: Optional[float] = None
                  ) -> QueryMetrics:
         conf = self.conf
@@ -393,6 +401,8 @@ class TezRunner:
         by_id = {v.vertex_id: v for v in dag.vertices}
         containers_started = False
         total_work_s = 0.0
+        #: digests whose run carries an earlier vertex's attribution
+        attributed: set = set()
 
         scale = cost.data_scale
         ordered = list(dag.topological())
@@ -410,44 +420,42 @@ class TezRunner:
             disk = cache = 0
             files = 0
             merge_rows = 0
-            #: (node, work_rows, scan_bytes) per plan node in the vertex,
-            #: for the per-operator virtual-time attribution below
+            #: (node, run, work_rows, scan_bytes) per plan node in the
+            #: vertex, for the skew model and the attribution below
             node_work: list[list] = []
             for node in vertex.nodes:
+                run = run_of(ctx.runs, node)
                 node_rows = 0
                 node_bytes = 0
                 if isinstance(node, rel.TableScan):
                     # decode work is the raw (pre-filter) row count
-                    scan_metrics = scan_executor.metrics.get(node.digest)
-                    if scan_metrics is not None:
-                        disk += scan_metrics.disk_bytes
-                        cache += scan_metrics.cache_bytes
-                        node_rows = scan_metrics.raw_rows
-                        node_bytes = (scan_metrics.disk_bytes
-                                      + scan_metrics.cache_bytes)
+                    scan = run.scan
+                    if scan is not None:
+                        disk += scan.disk_bytes
+                        cache += scan.cache_bytes
+                        node_rows = scan.raw_rows
+                        node_bytes = scan.disk_bytes + scan.cache_bytes
                         rows += node_rows
-                        files += scan_metrics.files_opened
-                        vm.external_s += scan_metrics.external_time_s
-                        if scan_metrics.delete_keys > 0:
+                        files += scan.files_opened
+                        vm.external_s += scan.external_time_s
+                        if scan.delete_keys > 0:
                             # merge-on-read anti-join work (Section 3.2)
-                            merge_rows += scan_metrics.raw_rows
+                            merge_rows += scan.raw_rows
                 else:
-                    node_rows = ctx.runtime_stats.get(node.digest, 0)
+                    node_rows = run.rows_out
                     rows += node_rows
-                node_work.append([node, node_rows, node_bytes])
+                node_work.append([node, run, node_rows, node_bytes])
             if not vertex.is_map:
                 # reducers also process every row their inputs emit
                 # (join probes, aggregation input, sort input); the
                 # vertex root does that processing
                 input_rows = 0
                 for input_id in vertex.inputs:
-                    source = by_id[input_id]
-                    input_rows += ctx.runtime_stats.get(
-                        source.root.digest, 0)
+                    input_rows += ctx.rows_of(by_id[input_id].root.digest)
                 rows += input_rows
                 for entry in node_work:
                     if entry[0] is vertex.root:
-                        entry[1] += input_rows
+                        entry[2] += input_rows
             rows = int(rows * scale)
             disk = int(disk * scale)
             cache = int(cache * scale)
@@ -491,16 +499,16 @@ class TezRunner:
             shuffle_bytes = 0
             for input_id in vertex.inputs:
                 source = by_id[input_id]
-                out_rows = ctx.runtime_stats.get(source.root.digest, 0)
+                out_rows = ctx.rows_of(source.root.digest)
                 shuffle_bytes += out_rows * \
                     source.root.schema.row_width_bytes()
             vm.shuffle_s = shuffle_bytes * scale \
                 / cost.network_bytes_per_s / max(1, parallel)
             vm.shuffle_bytes = int(shuffle_bytes * scale)
 
-            self._model_tasks(vm, vertex, ctx)
+            self._model_tasks(vm, node_work)
             self._apply_faults(vm, vertex, query_id, llap)
-            self._attribute_operators(vm, vertex, node_work, profile)
+            self._attribute_operators(vm, vertex, node_work, attributed)
 
             start = max((finish[i] for i in vertex.inputs), default=0.0)
             vm.start_s = start
@@ -540,6 +548,10 @@ class TezRunner:
         total_bytes = metrics.disk_bytes + metrics.cache_bytes
         metrics.cache_hit_fraction = (metrics.cache_bytes / total_bytes
                                       if total_bytes else 0.0)
+        # the runs outlive the query in its statement record; the key
+        # histograms and memoised batches were for this run only
+        for run in ctx.runs.values():
+            run.key_counts = run.batch = None
         return metrics
 
     def _pool_p50(self, pool: str) -> Optional[float]:
@@ -549,8 +561,7 @@ class TezRunner:
         return self.registry.percentile("query.latency_s", 50,
                                         pool=pool or "unmanaged")
 
-    def _model_tasks(self, vm: VertexMetrics, vertex: Vertex,
-                     ctx: ExecutionContext) -> None:
+    def _model_tasks(self, vm: VertexMetrics, node_work: list) -> None:
         """Model the vertex's per-task duration distribution.
 
         ``vm.io_s``/``cpu_s``/``shuffle_s`` are already per-task shares
@@ -568,8 +579,8 @@ class TezRunner:
         # the exchange-consuming operator (join/aggregate) is the first
         # node of a reducer vertex; trailing projects/filters ride along
         counts = None
-        for node in vertex.nodes:
-            counts = ctx.key_counts.get(node.digest)
+        for entry in node_work:
+            counts = entry[1].key_counts
             if counts:
                 break
         if tasks <= 1 or not counts:
@@ -714,29 +725,28 @@ class TezRunner:
                            detail=f"backup attempt saved {saved:.3f}s")
 
     def _attribute_operators(self, vm: VertexMetrics, vertex: Vertex,
-                             node_work: list, profile) -> None:
-        """Split the vertex's virtual time across its plan nodes.
+                             node_work: list, attributed: set) -> None:
+        """Split the vertex's virtual time across its plan nodes' runs.
 
         CPU is attributed proportionally to each operator's processed
         rows; IO goes to scans proportionally to bytes; shuffle time
-        lands on the vertex root (the exchange consumer).  Wall times,
-        row counts and batch counts come from the execution profile
-        when one was attached.
+        lands on the vertex root (the exchange consumer).  A memoised
+        node that two unmerged vertices both charge gets a copy of its
+        run in the second one, carrying that vertex's share.
         """
-        if profile is None:
-            return
-        total_rows = sum(entry[1] for entry in node_work) or 1
-        total_bytes = sum(entry[2] for entry in node_work) or 1
-        for node, work_rows, node_bytes in node_work:
+        total_rows = sum(entry[2] for entry in node_work) or 1
+        total_bytes = sum(entry[3] for entry in node_work) or 1
+        for node, run, work_rows, node_bytes in node_work:
             virtual = vm.cpu_s * work_rows / total_rows
             if node_bytes:
                 virtual += vm.io_s * node_bytes / total_bytes
             if node is vertex.root:
                 virtual += vm.shuffle_s
-            op = profile.operator_profile(node.digest, virtual_s=virtual)
-            if op.operator == "?":
-                op.operator = type(node).__name__
-            vm.operators.append(op)
+            if run.digest in attributed:
+                run = replace(run, key_counts=None, batch=None)
+            attributed.add(run.digest)
+            run.virtual_s = virtual
+            vm.operators.append(run)
 
     def _trace_vertices(self, trace, metrics: QueryMetrics,
                         admission: QueryAdmission) -> None:

@@ -41,7 +41,6 @@ from ..metastore.txn import (AcidHouseKeeper, DeltaWriteIdList,
 from ..obs import Observability
 from ..obs import fingerprint as fingerprints
 from ..obs.hooks import PHASES, PRE_EXEC, register_builtin_hooks
-from ..obs.profile import ExecutionProfile
 from ..obs.query_log import StatementRecord
 from ..optimizer import OptimizedPlan, Optimizer
 from ..optimizer.mv_rewrite import (ViewDefinition, build_view_definition,
@@ -84,8 +83,6 @@ class QueryResult:
     optimized: Optional[OptimizedPlan] = None
     message: str = ""
     query_id: int = 0
-    #: per-operator execution profile (repro.obs.ExecutionProfile)
-    profile: Optional[ExecutionProfile] = None
     #: span tree for this statement (repro.obs.QueryTrace)
     trace: Optional[object] = None
 
@@ -349,9 +346,10 @@ class Session:
 
     def _complete(self, record: StatementRecord, trace,
                   result: Optional[QueryResult]) -> None:
-        """The statement is over, whatever its outcome: copy the result
-        and its metrics into the record, close the live entry and the
-        trace, and hand the record to the one completion path."""
+        """The statement is over, whatever its outcome: copy the result's
+        outcome into the record and give it the run's metrics, close the
+        live entry and the trace, and hand the record to the one
+        completion path."""
         obs = self.server.obs
         self._trace = None
         self._record = None
@@ -369,26 +367,9 @@ class Session:
             if record.optimized is None:
                 # EXPLAIN compiles outside _run_plan
                 self._note_plan_inputs(result.optimized, record)
-            m = result.metrics
-            if m is not None:
-                self.now_s += m.total_s
-                record.pool = m.pool
-                record.total_s = m.total_s
-                record.queue_s = m.queue_s
-                record.compile_s = m.compile_s
-                record.startup_s = m.startup_s
-                record.io_s = m.io_s
-                record.cpu_s = m.cpu_s
-                record.shuffle_s = m.shuffle_s
-                record.external_s = m.external_s
-                record.disk_bytes = m.disk_bytes
-                record.cache_bytes = m.cache_bytes
-                record.cache_hit_fraction = m.cache_hit_fraction
-                record.vertices = [vm.as_row(record.query_id)
-                                   for vm in m.vertices]
-                record.operators = [op.as_row(record.query_id, vm.name)
-                                    for vm in m.vertices
-                                    for op in vm.operators]
+            record.metrics = result.metrics
+            if result.metrics is not None:
+                self.now_s += result.metrics.total_s
         obs.live_queries.finish(record.query_id, status=record.status)
         trace.finish(error=None if record.status == "ok" else record.error)
         record.wall_ms = trace.root.wall_s * 1000.0
@@ -733,12 +714,10 @@ class Session:
         attempts = 0
         reexecuted = False
         while True:
-            profile = ExecutionProfile()
             try:
                 with self._span("execute") as span:
                     batch, metrics, ctx = self._run_optimized(
-                        optimized, conf, profile,
-                        compile_overhead_s=compile_cost,
+                        optimized, conf, compile_overhead_s=compile_cost,
                         kernels=(cached.kernels if cached is not None
                                  else None))
                     if span is not None:
@@ -762,12 +741,11 @@ class Session:
                             conf, runtime_stats).optimize(plan)
                     self._note_plan_inputs(optimized)
         if conf.runtime_stats_feedback:
-            self.hms.record_runtime_stats(ctx.runtime_stats)
+            self.hms.record_runtime_stats(ctx.row_counts())
         return batch, QueryResult(
             column_names=[c.name for c in batch.schema],
             metrics=metrics, reexecuted=reexecuted,
-            views_used=list(optimized.views_used), optimized=optimized,
-            profile=profile)
+            views_used=list(optimized.views_used), optimized=optimized)
 
     def _optimizer(self, conf: Optional[HiveConf] = None,
                    stats_overrides: Optional[dict] = None) -> Optimizer:
@@ -778,7 +756,6 @@ class Session:
             trace=self._trace)
 
     def _run_optimized(self, optimized: OptimizedPlan, conf: HiveConf,
-                       profile: Optional[ExecutionProfile] = None,
                        compile_overhead_s: Optional[float] = None,
                        kernels=None):
         in_txn = self._active_txn is not None
@@ -814,7 +791,7 @@ class Session:
             optimized, scan_executor, self.application,
             arrival_s=self.now_s,
             hash_join_memory_rows=conf.hash_join_memory_rows,
-            profile=profile, trace=self._trace,
+            trace=self._trace,
             query_id=self._trace.query_id if self._trace else 0,
             compile_overhead_s=compile_overhead_s,
             eval_ctx=self._eval_context(), kernels=kernels)
@@ -899,9 +876,9 @@ class Session:
                            column_names=["check"])
 
     def _explain_analyze(self, statement: ast.Statement) -> QueryResult:
-        """EXPLAIN ANALYZE: run the query, annotate the plan with the
+        """EXPLAIN ANALYZE: run the query, annotate the plan with its
 
-        per-operator profile (the results cache is bypassed so the plan
+        operator runs (the results cache is bypassed so the plan
         actually executes)."""
         if not isinstance(statement, ast.SelectStatement):
             raise AnalysisError("EXPLAIN ANALYZE supports queries only")
@@ -911,15 +888,14 @@ class Session:
         # resolution the audit log gets — the two surfaces cannot drift
         record = self._record
         lines = render_explain_analyze(
-            result.optimized, result.profile,
+            result.optimized, result.metrics,
             reexecuted=result.reexecuted, views_used=result.views_used,
             inputs=record.inputs() if record is not None else None,
             outputs=record.outputs() if record is not None else None)
         return QueryResult(rows=[(line,) for line in lines],
                            column_names=["plan"],
                            metrics=result.metrics,
-                           optimized=result.optimized,
-                           profile=result.profile)
+                           optimized=result.optimized)
 
     def _explain_lineage(self, statement: ast.Statement) -> QueryResult:
         """EXPLAIN LINEAGE: per-output-column dependency edges.
@@ -1196,7 +1172,7 @@ class Session:
         self._store_view_contents(view, batch)
         return RebuildReport(view.qualified_name, "incremental",
                              batch.num_rows,
-                             delta_rows=ctx.runtime_stats[plan.digest])
+                             delta_rows=ctx.rows_of(plan.digest))
 
     # ------------------------------------------------------------------ #
     # DML

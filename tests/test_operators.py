@@ -284,7 +284,7 @@ class TestFusionAndKernels:
             ("b", 102), ("c", 103), ("b2", 102)]
         # reoptimization and EXPLAIN ANALYZE need the Filter's output
         # cardinality, which reaches them by the normal route
-        assert ctx.runtime_stats[plan.input.digest] == 3
+        assert ctx.runs[plan.input.digest].rows_out == 3
 
     def test_kernels_match_interpreter(self):
         plan = self._plan()
@@ -307,7 +307,7 @@ class TestFusionAndKernels:
         rows = execute(plan, ctx).to_rows()
         assert rows == [("b", 102), ("c", 103), ("b2", 102)]
         # shared-work reuse: the filter result must be in the memo
-        assert plan.input.digest in ctx.memo
+        assert ctx.runs[plan.input.digest].batch is not None
 
 
 # --------------------------------------------------------------------------- #
@@ -799,7 +799,8 @@ class TestHashJoinParity:
         finally:
             ops._candidate_pairs = fast
         assert repr(rows) == repr(want)
-        assert repr(ctx.key_counts) == repr(want_ctx.key_counts)
+        assert repr([r.key_counts for r in ctx.runs.values()]) == repr(
+            [r.key_counts for r in want_ctx.runs.values()])
 
     def test_no_histogram_beyond_the_key_limit(self):
         n = ops.KEY_HISTOGRAM_MAX_KEYS + 1

@@ -16,6 +16,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.query_log import RingLog, StatementRecord
 from repro.obs.report import (perf_gate, render_bench_report,
                               update_experiments)
+from repro.runtime.tez import QueryMetrics, VertexMetrics
 from repro.server.driver import HiveServer2
 
 
@@ -337,15 +338,17 @@ class TestQueryLogRetention:
     def test_file_backed_overflow_round_trip(self, tmp_path):
         path = str(tmp_path / "overflow.jsonl")
         log = RingLog(capacity=1, overflow_path=path)
-        first = StatementRecord(query_id=1, statement="a")
-        first.vertices = [(1, 0, "Map 1", 2, 10, 0.0, 0.1, 0.2, 0.0,
-                           0.0, 0.3, 0.0, 0.3, 0, 0.2, 0.1, 2.0, True)]
+        first = StatementRecord(query_id=1, statement="a",
+                                metrics=QueryMetrics(vertices=[VertexMetrics(
+                                    "Map 1", tasks=2, rows=10, io_s=0.1,
+                                    cpu_s=0.2, task_durations=[0.2, 0.1],
+                                    skew_factor=2.0, straggler=True)]))
         log.append(first)
         log.append(StatementRecord(query_id=2, statement="b"))
         restored = log.overflow.entries()
         assert [e.query_id for e in restored] == [1]
-        assert restored[0].vertices[0][2] == "Map 1"
-        assert isinstance(restored[0].vertices[0], tuple)
+        assert restored[0].vertex_rows() == first.vertex_rows()
+        assert restored[0].vertex_rows()[0][2] == "Map 1"
 
     def test_set_capacity_spills_excess(self):
         log = RingLog(capacity=10)

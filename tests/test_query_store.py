@@ -20,6 +20,7 @@ from repro.obs import fingerprint as fp
 from repro.obs.query_log import StatementRecord
 from repro.obs.query_store import QueryStore
 from repro.obs.registry import METRIC_HELP
+from repro.runtime.tez import QueryMetrics
 
 
 # --------------------------------------------------------------------------- #
@@ -70,8 +71,8 @@ def entry(i, total_s, *, started_s=None, status="ok", from_cache=False,
         plan_explain=plan_explain,
         from_cache=from_cache, reexecuted=reexecuted, rows_produced=rows,
         started_s=total_s * i if started_s is None else started_s,
-        total_s=total_s, queue_s=0.01, wall_ms=1.0,
-        disk_bytes=100, cache_bytes=50)
+        wall_ms=1.0, metrics=QueryMetrics(
+            total_s=total_s, queue_s=0.01, disk_bytes=100, cache_bytes=50))
 
 
 class TestQueryStoreUnit:

@@ -258,7 +258,8 @@ class TestScanMetrics:
                 f.length for f in files) > 0
             assert result.metrics.cache_bytes == 0
             assert result.metrics.io_s > 0
-            scan, = result.profile.scan_metrics.values()
+            scan, = [run.scan for vm in result.metrics.vertices
+                     for run in vm.operators if run.scan is not None]
             assert scan.files_opened == len(files)
         series = dict(session.execute(
             "SELECT labels, value FROM sys.metrics "
@@ -330,14 +331,15 @@ class TestConcurrentAttribution:
             log = service.server.obs.query_log
             alone = log.last()
             assert alone.query_id == run_alone.query_id
-            assert alone.disk_bytes == 0 and alone.cache_bytes > 0
+            m = alone.metrics
+            assert m.disk_bytes == 0 and m.cache_bytes > 0
             switch_interval(5e-4)
             self.race([lambda h=h: run(h) for h in handles])
             raced = [e for e in log.entries()
                      if e.query_id > alone.query_id]
             assert len(raced) == 300
-            assert {(e.disk_bytes, e.cache_bytes, e.total_s)
-                    for e in raced} == {
-                (alone.disk_bytes, alone.cache_bytes, alone.total_s)}
+            assert {(e.metrics.disk_bytes, e.metrics.cache_bytes,
+                     e.total_s) for e in raced} == {
+                (m.disk_bytes, m.cache_bytes, m.total_s)}
         finally:
             service.shutdown()

@@ -13,8 +13,11 @@ import pytest
 
 from repro.config import HiveConf
 from repro.errors import HiveError, QueryKilledError, ServiceError
+from repro.exec.operators import OperatorRun
 from repro.obs.hooks import ON_FAILURE, POST_EXEC, PRE_EXEC
 from repro.obs.query_log import RingLog, StatementRecord
+from repro.runtime.scan import ScanMetrics
+from repro.runtime.tez import QueryMetrics, VertexMetrics
 from repro.server.driver import HiveServer2
 from repro.service import HiveService
 
@@ -176,25 +179,31 @@ def test_statements_that_never_reach_the_driver_end_the_same_way():
 
 def test_spilled_record_projects_to_the_same_rows(tmp_path):
     log = RingLog(capacity=1, overflow_path=str(tmp_path / "spill.jsonl"))
+    scan = ScanMetrics(table="default.t", rows=10, raw_rows=10,
+                       disk_bytes=640, files_opened=1)
     record = StatementRecord(
         query_id=7, statement="INSERT INTO d SELECT a, b FROM t",
         tenant="bi", session="s000001", application="etl",
-        operation="insert", fingerprint="abc", pool="etl",
-        rows_affected=3, admission_wait_s=0.5, started_s=1.0,
-        total_s=2.0, compile_s=0.25, wall_ms=4.0, plan_hash="p1",
-        output_tables={"default.d"},
-        vertices=[(7, 0, "Map 1", 2, 10, 0.0, 0.1, 0.2)],
-        operators=[(7, "Map 1", "TableScan", "d1", 0, 10, 1, 0.5, 0.1)])
+        operation="insert", fingerprint="abc", rows_affected=3,
+        admission_wait_s=0.5, started_s=1.0, wall_ms=4.0, plan_hash="p1",
+        output_tables={"default.d"}, metrics=QueryMetrics(
+            total_s=2.0, compile_s=0.25, io_s=0.1, cpu_s=0.2, pool="etl",
+            disk_bytes=640, vertices=[VertexMetrics(
+                "Map 1", tasks=2, rows=10, io_s=0.1, cpu_s=0.2,
+                task_durations=[0.15, 0.15], operators=[OperatorRun(
+                    "TableScan", "d1", rows_out=10, calls=1,
+                    wall_s=0.0005, virtual_s=0.1, scan=scan)])]))
     record.add_input("default.t", ["b", "a"])
-    before = (record.as_query_log_row(), record.as_audit_row())
+    before = (record.as_query_log_row(), record.as_audit_row(),
+              record.vertex_rows(), record.operator_rows())
     log.append(record)
     log.append(StatementRecord(query_id=8))
     (restored,) = log.overflow.entries()
-    assert (restored.as_query_log_row(), restored.as_audit_row()) == before
+    assert (restored.as_query_log_row(), restored.as_audit_row(),
+            restored.vertex_rows(), restored.operator_rows()) == before
     assert restored.as_audit_row()[9:12] == (
         "default.t", "default.d", "default.t.a,default.t.b")
-    assert restored.vertices == record.vertices
-    assert restored.operators == record.operators
+    assert restored.metrics.vertices[0].operators[0].scan == scan
     assert restored.plan_hash == "p1" and restored.at_s == 3.0
 
 
