@@ -184,9 +184,15 @@ class VectorBatch:
 
     @staticmethod
     def concat(schema: Schema, batches: Sequence["VectorBatch"]) -> "VectorBatch":
+        """The rows of ``batches`` in order, under ``schema``.  One
+        non-empty batch is returned by reference, not copied: a vector
+        is never written in place once built (the LLAP cache enforces
+        it on the chunks it hands out)."""
         batches = [b for b in batches if b.num_rows > 0]
         if not batches:
             return VectorBatch.empty(schema)
+        if len(batches) == 1:
+            return VectorBatch(schema, batches[0].vectors)
         vectors = [ColumnVector.concat([b.vectors[i] for b in batches])
                    for i in range(len(schema))]
         return VectorBatch(schema, vectors)

@@ -10,6 +10,8 @@ This module provides that substrate:
   with the file length, lets the LLAP cache validate cached chunks the way
   HDFS file ids / S3 ETags do (Section 5.1),
 * directory listing and recursive delete (used by compaction cleanup),
+  both in the size of the directory they touch: every directory knows
+  its children, so a partition listing never walks the whole namespace,
 * an :class:`IOStats` counter so the cluster simulator can charge virtual
   IO time for every byte that crosses the "disk" boundary.
 
@@ -105,7 +107,9 @@ class SimFileSystem:
     def __init__(self):
         self._lock = sync.new_rlock('SimFileSystem._lock')   # create() nests mkdirs()
         self._files: dict[str, FileEntry] = {}
-        self._dirs: set[str] = {"/"}
+        #: directory -> names of its immediate children, files and
+        #: directories alike; the keys are exactly the directories
+        self._children: dict[str, set[str]] = {"/": set()}
         self._next_file_id = 1
         self._clock = 0
         self.stats = IOStats()
@@ -118,19 +122,25 @@ class SimFileSystem:
         path = _norm(path)
         parts = path.strip("/").split("/") if path != "/" else []
         with self._lock:
-            current = ""
+            parent, current = "/", ""
             for part in parts:
                 current += "/" + part
-                self._dirs.add(current)
+                if current not in self._children:
+                    if current in self._files:
+                        raise FileSystemError(
+                            f"path is a file: {current}")
+                    self._children[parent].add(part)
+                    self._children[current] = set()
+                parent = current
 
     def is_dir(self, path: str) -> bool:
         with self._lock:
-            return _norm(path) in self._dirs
+            return _norm(path) in self._children
 
     def exists(self, path: str) -> bool:
         path = _norm(path)
         with self._lock:
-            return path in self._files or path in self._dirs
+            return path in self._files or path in self._children
 
     # -- files ------------------------------------------------------------ #
     def create(self, path: str, data: bytes) -> FileEntry:
@@ -139,9 +149,11 @@ class SimFileSystem:
         with self._lock:
             if path in self._files:
                 raise FileSystemError(f"file already exists: {path}")
-            if path in self._dirs:
+            if path in self._children:
                 raise FileSystemError(f"path is a directory: {path}")
-            self.mkdirs(posixpath.dirname(path))
+            parent, name = posixpath.split(path)
+            self.mkdirs(parent)
+            self._children[parent].add(name)
             self._clock += 1
             entry = FileEntry(path=path, data=bytes(data),
                               file_id=self._next_file_id,
@@ -216,55 +228,68 @@ class SimFileSystem:
         with self._lock:
             if path in self._files:
                 del self._files[path]
+                self._children[posixpath.dirname(path)].discard(
+                    posixpath.basename(path))
                 self.stats.files_deleted += 1
                 return 1
-            if path in self._dirs:
-                children_files = [p for p in self._files
-                                  if p.startswith(path + "/")]
-                children_dirs = [d for d in self._dirs
-                                 if d.startswith(path + "/")]
-                if (children_files or children_dirs) and not recursive:
+            if path in self._children and path != "/":
+                if self._children[path] and not recursive:
                     raise FileSystemError(
                         f"directory not empty: {path}")
-                for p in children_files:
+                dirs, files = self._subtree(path)
+                for p in files:
                     del self._files[p]
-                for d in children_dirs:
-                    self._dirs.discard(d)
-                self._dirs.discard(path)
-                self.stats.files_deleted += len(children_files)
-                return len(children_files)
+                for d in dirs:
+                    del self._children[d]
+                self._children[posixpath.dirname(path)].discard(
+                    posixpath.basename(path))
+                self.stats.files_deleted += len(files)
+                return len(files)
         raise FileSystemError(f"no such path: {path}")
 
     def rename(self, src: str, dst: str) -> None:
         """Atomic rename of a file or directory tree (commit primitive)."""
         src, dst = _norm(src), _norm(dst)
         with self._lock:
-            if src in self._files:
-                if dst in self._files or dst in self._dirs:
-                    raise FileSystemError(f"destination exists: {dst}")
-                entry = self._files.pop(src)
-                self.mkdirs(posixpath.dirname(dst))
-                self._files[dst] = FileEntry(dst, entry.data,
-                                             entry.file_id, entry.mtime)
-                return
-            if src in self._dirs:
-                if dst in self._files or dst in self._dirs:
-                    raise FileSystemError(f"destination exists: {dst}")
-                self.mkdirs(posixpath.dirname(dst))
-                moved_dirs = [d for d in self._dirs if
-                              d == src or d.startswith(src + "/")]
-                for d in moved_dirs:
-                    self._dirs.discard(d)
-                    self._dirs.add(dst + d[len(src):])
-                moved = [p for p in self._files
-                         if p.startswith(src + "/")]
-                for p in moved:
-                    entry = self._files.pop(p)
-                    new_path = dst + p[len(src):]
-                    self._files[new_path] = FileEntry(
-                        new_path, entry.data, entry.file_id, entry.mtime)
-                return
-        raise FileSystemError(f"no such path: {src}")
+            if src not in self._files and (src not in self._children
+                                           or src == "/"):
+                raise FileSystemError(f"no such path: {src}")
+            if dst in self._files or dst in self._children:
+                raise FileSystemError(f"destination exists: {dst}")
+            if dst.startswith(src + "/"):
+                raise FileSystemError(
+                    f"cannot move {src} into itself: {dst}")
+            parent, name = posixpath.split(dst)
+            self.mkdirs(parent)
+            dirs, files = self._subtree(src)
+            for p in files:
+                entry = self._files.pop(p)
+                new_path = dst + p[len(src):]
+                self._files[new_path] = FileEntry(
+                    new_path, entry.data, entry.file_id, entry.mtime)
+            for d in dirs:
+                self._children[dst + d[len(src):]] = self._children.pop(d)
+            self._children[posixpath.dirname(src)].discard(
+                posixpath.basename(src))
+            self._children[parent].add(name)
+
+    def _subtree(self, path: str) -> tuple[list[str], list[str]]:
+        """``(directories, files)`` at or under ``path``, found through
+        the children index; caller holds ``self._lock``."""
+        if path in self._files:
+            return [], [path]
+        dirs, files, stack = [], [], [path]
+        while stack:
+            directory = stack.pop()
+            dirs.append(directory)
+            prefix = directory if directory != "/" else ""
+            for name in self._children[directory]:
+                child = prefix + "/" + name
+                if child in self._children:
+                    stack.append(child)
+                else:
+                    files.append(child)
+        return dirs, files
 
     # -- listing ------------------------------------------------------------ #
     def list_files(self, path: str, recursive: bool = False) -> list[FileStatus]:
@@ -278,15 +303,17 @@ class SimFileSystem:
         # caller holds self._lock
         if path in self._files:
             return [self.status(path)]
-        if path not in self._dirs:
+        if path not in self._children:
             raise FileSystemError(f"no such directory: {path}")
-        prefix = path if path != "/" else ""
+        if recursive:
+            paths = self._subtree(path)[1]
+        else:
+            prefix = path if path != "/" else ""
+            paths = [prefix + "/" + name for name in self._children[path]
+                     if prefix + "/" + name in self._files]
         out = []
-        for p, entry in sorted(self._files.items()):
-            if not p.startswith(prefix + "/"):
-                continue
-            if not recursive and "/" in p[len(prefix) + 1:]:
-                continue
+        for p in sorted(paths):
+            entry = self._files[p]
             out.append(FileStatus(p, entry.length, entry.file_id,
                                   entry.mtime))
         return out
@@ -295,24 +322,20 @@ class SimFileSystem:
         """Immediate child directories of ``path`` (partition listing)."""
         path = _norm(path)
         with self._lock:
-            if path not in self._dirs:
+            if path not in self._children:
                 raise FileSystemError(f"no such directory: {path}")
             prefix = path if path != "/" else ""
-            children = set()
-            for d in self._dirs:
-                if d.startswith(prefix + "/"):
-                    rest = d[len(prefix) + 1:]
-                    children.add(rest.split("/")[0])
-        return sorted(prefix + "/" + c for c in children)
+            children = [prefix + "/" + name
+                        for name in self._children[path]]
+            return sorted(c for c in children if c in self._children)
 
     def total_bytes(self, path: str = "/") -> int:
         path = _norm(path)
-        prefix = "" if path == "/" else path
         with self._lock:
-            return sum(
-                len(e.data) for p, e in self._files.items()
-                if path == "/" or p == path
-                or p.startswith(prefix + "/"))
+            if path not in self._files and path not in self._children:
+                return 0
+            return sum(len(self._files[p].data)
+                       for p in self._subtree(path)[1])
 
     def _entry(self, path: str) -> FileEntry:
         path = _norm(path)

@@ -14,20 +14,27 @@ frequency* value::
     crf(t) = 1 + crf(t_last) * 2^(-lambda * (t - t_last))
 
 ``lambda`` → 0 degenerates to LFU; ``lambda`` → 1 to LRU.
+
+A cached chunk is handed to every reader by reference, so the cache makes
+the arrays of each :class:`~repro.common.vector.ColumnVector` it admits
+read-only: an in-place write by any holder raises instead of corrupting
+the next query's data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
+from ..common import sync
+from ..common.vector import ColumnVector
 from ..errors import HiveError
 from .placement import node_of
 
 
-@dataclass(frozen=True)
-class ChunkKey:
-    """Identity of one row-column chunk."""
+class ChunkKey(NamedTuple):
+    """Identity of one row-column chunk (a tuple, so building and
+    hashing one per cache probe stays in C)."""
 
     file_id: int
     file_length: int
@@ -63,7 +70,11 @@ class _Entry:
 
 
 class LlapCache:
-    """LRFU chunk cache with a byte-capacity bound."""
+    """LRFU chunk cache with a byte-capacity bound.
+
+    Shared by every session of a server: one lock guards the entries,
+    the clock and the counters; no method calls out while holding it.
+    """
 
     def __init__(self, capacity_bytes: int, lrfu_lambda: float = 0.01):
         if capacity_bytes < 0:
@@ -73,39 +84,53 @@ class LlapCache:
         self.capacity_bytes = capacity_bytes
         self.lrfu_lambda = lrfu_lambda
         self.stats = CacheStats()
+        self._lock = sync.new_lock("LlapCache._lock")
         self._entries: dict[ChunkKey, _Entry] = {}
         self._used = 0
         self._clock = 0
 
     # -- access ------------------------------------------------------------- #
     def get(self, key: ChunkKey) -> Optional[object]:
-        self._clock += 1
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        entry.crf = 1.0 + entry.crf * self._decay(
-            self._clock - entry.last_access)
-        entry.last_access = self._clock
-        self.stats.hits += 1
-        self.stats.hit_bytes += entry.nbytes
-        return entry.payload
+        with self._lock:
+            self._clock += 1
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                return None
+            entry.crf = 1.0 + entry.crf * self._decay(
+                self._clock - entry.last_access)
+            entry.last_access = self._clock
+            self.stats.hits += 1
+            self.stats.hit_bytes += entry.nbytes
+            return entry.payload
 
     def put(self, key: ChunkKey, payload: object, nbytes: int) -> bool:
         """Insert a chunk, evicting as needed; returns False if the chunk
-
-        is larger than the whole cache (never admitted)."""
+        is larger than the whole cache (never admitted).  An admitted
+        vector's arrays become read-only."""
         if nbytes > self.capacity_bytes:
             return False
-        self._clock += 1
-        if key in self._entries:
-            old = self._entries.pop(key)
-            self._used -= old.nbytes
-        self._evict_until(self.capacity_bytes - nbytes)
-        self._entries[key] = _Entry(payload, nbytes, 1.0, self._clock)
-        self._used += nbytes
-        self.stats.miss_bytes += nbytes
-        return True
+        if isinstance(payload, ColumnVector):
+            payload.data.setflags(write=False)
+            payload.nulls.setflags(write=False)
+        with self._lock:
+            self._clock += 1
+            if key in self._entries:
+                old = self._entries.pop(key)
+                self._used -= old.nbytes
+            budget = self.capacity_bytes - nbytes
+            while self._used > budget and self._entries:
+                victim_key = min(self._entries,
+                                 key=lambda k: self._current_crf(
+                                     self._entries[k]))
+                victim = self._entries.pop(victim_key)
+                self._used -= victim.nbytes
+                self.stats.evictions += 1
+                self.stats.evicted_bytes += victim.nbytes
+            self._entries[key] = _Entry(payload, nbytes, 1.0, self._clock)
+            self._used += nbytes
+            self.stats.miss_bytes += nbytes
+            return True
 
     def invalidate_files(self, file_ids) -> int:
         """Drop every chunk of these files in one pass over the cache
@@ -114,13 +139,14 @@ class LlapCache:
         Counts as eviction: capacity pressure and invalidation must move
         the same ``evictions``/``evicted_bytes`` stats or the registry's
         cache series drift from the actual resident set."""
-        doomed = [k for k in self._entries if k.file_id in file_ids]
-        for key in doomed:
-            entry = self._entries.pop(key)
-            self._used -= entry.nbytes
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += entry.nbytes
-        return len(doomed)
+        with self._lock:
+            doomed = [k for k in self._entries if k.file_id in file_ids]
+            for key in doomed:
+                entry = self._entries.pop(key)
+                self._used -= entry.nbytes
+                self.stats.evictions += 1
+                self.stats.evicted_bytes += entry.nbytes
+            return len(doomed)
 
     def invalidate_file(self, file_id: int) -> int:
         return self.invalidate_files({file_id})
@@ -133,40 +159,46 @@ class LlapCache:
         exactly the files hosted on that node.  Counts as eviction for
         the same reason as :meth:`invalidate_files`.
         """
-        return self.invalidate_files({
-            k.file_id for k in self._entries
-            if node_of(k.file_id, num_nodes) == node})
+        with self._lock:
+            doomed = {k.file_id for k in self._entries
+                      if node_of(k.file_id, num_nodes) == node}
+        return self.invalidate_files(doomed)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._used = 0
+        with self._lock:
+            self._entries.clear()
+            self._used = 0
 
     # -- introspection ---------------------------------------------------------- #
     @property
     def used_bytes(self) -> int:
-        return self._used
+        with self._lock:
+            return self._used
 
     def node_usage(self, num_nodes: int) -> dict[int, tuple[int, int]]:
         """Per-daemon residency: ``{node: (bytes, chunks)}``.
 
         Uses the same placement rule as :meth:`invalidate_node`, so the
         monitor's heatmap agrees with failover behaviour by
-        construction.  ``list(dict.items())`` is atomic under the GIL,
-        so scrape threads get a consistent point-in-time snapshot
-        without a lock on the hot put/get path.
+        construction.  Scrape threads copy the entries under the lock
+        and add them up outside it.
         """
         usage = {n: (0, 0) for n in range(max(1, num_nodes))}
-        for key, entry in list(self._entries.items()):
+        with self._lock:
+            entries = list(self._entries.items())
+        for key, entry in entries:
             node = node_of(key.file_id, num_nodes)
             nbytes, chunks = usage[node]
             usage[node] = (nbytes + entry.nbytes, chunks + 1)
         return usage
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: ChunkKey) -> bool:
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     # -- internals ------------------------------------------------------------ #
     def _decay(self, age: int) -> float:
@@ -174,13 +206,3 @@ class LlapCache:
 
     def _current_crf(self, entry: _Entry) -> float:
         return entry.crf * self._decay(self._clock - entry.last_access)
-
-    def _evict_until(self, budget: int) -> None:
-        while self._used > budget and self._entries:
-            victim_key = min(self._entries,
-                             key=lambda k: self._current_crf(
-                                 self._entries[k]))
-            victim = self._entries.pop(victim_key)
-            self._used -= victim.nbytes
-            self.stats.evictions += 1
-            self.stats.evicted_bytes += victim.nbytes

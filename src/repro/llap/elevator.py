@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..common import sync
 from ..common.vector import ColumnVector, VectorBatch
 from ..formats.orc import OrcReader, SargPredicate
 from ..fs import SimFileSystem
@@ -45,11 +46,17 @@ class DirectReaderFactory:
 
 
 class LlapReaderFactory:
-    """Warm path through the metadata cache and the chunk cache."""
+    """Warm path through the metadata cache and the chunk cache.
+
+    Shared by every session: one lock guards the two dicts, held for
+    their updates only, never while the file system reads or a footer
+    parses.
+    """
 
     def __init__(self, fs: SimFileSystem, cache: LlapCache):
         self.fs = fs
         self.cache = cache
+        self._lock = sync.new_lock("LlapReaderFactory._lock")
         #: metadata cache: (file_id, length) -> parsed OrcReader
         self._metadata: dict[tuple[int, int], OrcReader] = {}
         #: directory -> metadata keys opened under it, so ``forget``
@@ -59,11 +66,15 @@ class LlapReaderFactory:
     def open(self, path: str, io):
         status = self.fs.status(path)
         key = (status.file_id, status.length)
-        reader = self._metadata.get(key)
+        with self._lock:
+            reader = self._metadata.get(key)
         if reader is None:
             reader = OrcReader(self.fs.read(path, io))
-            self._metadata[key] = reader
-            self._by_dir.setdefault(path.rsplit("/", 1)[0], []).append(key)
+            with self._lock:
+                if key not in self._metadata:
+                    self._metadata[key] = reader
+                    self._by_dir.setdefault(
+                        path.rsplit("/", 1)[0], []).append(key)
             # a fresh open pays for the footer read from disk
             io.metadata_bytes += reader.metadata_bytes
             io.disk_bytes += reader.metadata_bytes
@@ -77,10 +88,11 @@ class LlapReaderFactory:
         one pass over the cache, their chunks.  Those files are never
         opened again, so no later read changes.  Returns chunks dropped.
         """
-        keys = [key for directory in directories
-                for key in self._by_dir.pop(directory, ())]
-        for key in keys:
-            self._metadata.pop(key, None)
+        with self._lock:
+            keys = [key for directory in directories
+                    for key in self._by_dir.pop(directory, ())]
+            for key in keys:
+                self._metadata.pop(key, None)
         return self.cache.invalidate_files({key[0] for key in keys})
 
     def invalidate_node(self, node: int, num_nodes: int) -> int:
@@ -90,8 +102,9 @@ class LlapReaderFactory:
         shared :func:`repro.llap.placement.node_of` rule.  Returns the
         number of chunks dropped.
         """
-        self._metadata = {k: v for k, v in self._metadata.items()
-                          if node_of(k[0], num_nodes) != node}
+        with self._lock:
+            self._metadata = {k: v for k, v in self._metadata.items()
+                              if node_of(k[0], num_nodes) != node}
         return self.cache.invalidate_node(node, num_nodes)
 
 
@@ -117,11 +130,12 @@ class _CachedReader:
                        columns: Sequence[str] | None = None) -> VectorBatch:
         names = (list(columns) if columns is not None
                  else self.schema.names())
+        chunks = self.row_groups[group].columns
         vectors: list[ColumnVector] = []
         for name in names:
+            chunk_bytes = chunks[self.schema.index_of(name)].length
             key = ChunkKey(self._file_id, self._length, group, name)
             cached = self._cache.get(key)
-            chunk_bytes = self._reader.column_chunk_bytes(group, name)
             if cached is not None:
                 self._io.cache_bytes += chunk_bytes
                 vectors.append(cached)

@@ -60,6 +60,18 @@ class MaterializedViewInfo:
     enabled_for_rewrite: bool = True
 
 
+#: the directory name of a NULL partition value, as in Hive: NULL and
+#: the string ``'None'`` must not share a directory
+DEFAULT_PARTITION_NAME = "__HIVE_DEFAULT_PARTITION__"
+
+
+def partition_spec(partition_cols: Sequence[Column], values: tuple) -> str:
+    """``p=v/q=w``: a partition's directory below its table's."""
+    return "/".join(
+        f"{c.name}={DEFAULT_PARTITION_NAME if v is None else v}"
+        for c, v in zip(partition_cols, values))
+
+
 @dataclass
 class PartitionDescriptor:
     """One horizontal partition: its values and directory."""
@@ -68,8 +80,7 @@ class PartitionDescriptor:
     location: str
 
     def spec_string(self, partition_cols: Sequence[Column]) -> str:
-        pairs = [f"{c.name}={v}" for c, v in zip(partition_cols, self.values)]
-        return "/".join(pairs)
+        return partition_spec(partition_cols, self.values)
 
 
 @dataclass

@@ -26,7 +26,8 @@ from ..common.rows import Column, Schema
 from ..errors import CatalogError
 from ..fs import SimFileSystem
 from .catalog import (Constraints, Database, MaterializedViewInfo,
-                      PartitionDescriptor, TableDescriptor, TableKind)
+                      PartitionDescriptor, TableDescriptor, TableKind,
+                      partition_spec)
 from .compaction import CompactionQueue
 from .locks import LockManager
 from .stats import TableStatistics
@@ -276,10 +277,8 @@ class HiveMetastore:
     def add_partition(self, table: TableDescriptor,
                       values: tuple) -> PartitionDescriptor:
         with self._lock:
-            spec = "/".join(
-                f"{c.name}={v}"
-                for c, v in zip(table.partition_columns, values))
-            location = f"{table.location}/{spec}"
+            location = (f"{table.location}/"
+                        f"{partition_spec(table.partition_columns, values)}")
             descriptor = table.add_partition(values, location)
             self.fs.mkdirs(location)
             self._emit("ADD_PARTITION", table.qualified_name,

@@ -270,6 +270,7 @@ class ScanExecutor:
             metrics.partitions_total = metrics.partitions_read = 1
 
         batches: list[VectorBatch] = []
+        read_values: list[tuple] = []     # the partition of each batch
         for values, location in locations:
             if not self.fs.exists(location):
                 continue
@@ -290,17 +291,9 @@ class ScanExecutor:
             self._account_io(read_metrics, metrics)
             if batch.num_rows == 0 and len(batch.schema) == 0:
                 continue
-            batch = self._with_partition_columns(
-                node, table, batch, values, part_names)
             batches.append(batch)
-        if not batches:
-            return VectorBatch.empty(node.schema)
-        # align column order to the scan schema
-        aligned = []
-        for batch in batches:
-            idx = [batch.schema.index_of(c.name) for c in node.schema]
-            aligned.append(batch.project(idx, node.schema))
-        return VectorBatch.concat(node.schema, aligned)
+            read_values.append(values)
+        return _assemble(node, table, batches, read_values, part_names)
 
     @staticmethod
     def _account_io(read, metrics: ScanMetrics) -> None:
@@ -314,33 +307,6 @@ class ScanExecutor:
         metrics.row_groups_total += read.row_groups_total
         metrics.row_groups_read += read.row_groups_read
         metrics.io_retries += read.io_retries
-
-    def _with_partition_columns(self, node: rel.TableScan,
-                                table: TableDescriptor,
-                                batch: VectorBatch, values: tuple,
-                                part_names: list[str]) -> VectorBatch:
-        if not part_names:
-            return batch
-        value_of = {c.name.lower(): v for c, v in
-                    zip(table.partition_columns, values)}
-        vectors = list(batch.vectors)
-        columns = list(batch.schema.columns)
-        n = batch.num_rows
-        for name in part_names:
-            column = table.partition_schema().field(name)
-            value = value_of[name.lower()]
-            storage = column.dtype.to_storage(value)
-            np_dtype = column.dtype.numpy_dtype
-            if np_dtype == np.dtype(object):
-                data = np.empty(n, dtype=object)
-                data[:] = storage
-            else:
-                data = np.full(n, storage, dtype=np_dtype)
-            vectors.append(ColumnVector(column.dtype, data,
-                                        np.zeros(n, dtype=bool)))
-            columns.append(column)
-        from ..common.rows import Schema
-        return VectorBatch(Schema(columns), vectors)
 
     # -- sargs --------------------------------------------------------------- #
     def _convert_sargs(self, node: rel.TableScan) -> list[SargPredicate]:
@@ -373,6 +339,33 @@ class ScanExecutor:
                 batch.num_rows - mask.sum())
             batch = batch.filter(mask)
         return batch
+
+
+def _assemble(node: rel.TableScan, table: TableDescriptor,
+              batches: list[VectorBatch], read_values: list[tuple],
+              part_names: list[str]) -> VectorBatch:
+    """The scan's batch from its directory reads, in the scan schema's
+    column order: the stored columns are concatenated once (not at all
+    for one non-empty read), and each partition column is one
+    ``np.repeat`` of its per-partition values over the reads' row
+    counts; a NULL partition value is a NULL."""
+    counts = [batch.num_rows for batch in batches]
+    if not sum(counts):
+        return VectorBatch.empty(node.schema)
+    vectors = {}
+    stored_names = [c.name for c in node.schema if c.name not in part_names]
+    if stored_names:
+        stored = VectorBatch.concat(batches[0].schema, batches)
+        vectors = {name: stored.column(name) for name in stored_names}
+    partition_schema = table.partition_schema()
+    for name in part_names:
+        i = partition_schema.index_of(name)
+        per_read = ColumnVector.from_values(
+            partition_schema[i].dtype, [values[i] for values in read_values])
+        vectors[name] = ColumnVector(per_read.dtype,
+                                     np.repeat(per_read.data, counts),
+                                     np.repeat(per_read.nulls, counts))
+    return VectorBatch(node.schema, [vectors[c.name] for c in node.schema])
 
 
 def _rex_to_sarg(conjunct: rex.RexNode,

@@ -1,6 +1,10 @@
 """Simulated HDFS semantics: immutability, FileIds, rename, listing."""
 
+import posixpath
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fs import SimFileSystem
 from repro.fs.filesystem import FileSystemError
@@ -113,3 +117,100 @@ class TestAccounting:
         fs.create("/f", b"1")
         fs.stats.reset()
         assert fs.stats.bytes_written == 0
+
+
+# --------------------------------------------------------------------------- #
+# the children index against a brute-force scan of the namespace
+
+_PATHS = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("mkdirs"), _PATHS),
+    st.tuples(st.just("create"), _PATHS),
+    st.tuples(st.just("delete"), _PATHS),
+    st.tuples(st.just("rename"), _PATHS, _PATHS)), max_size=25)
+
+
+class _Namespace:
+    """Flat sets of paths, listed by scanning all of them — what every
+    listing of ``SimFileSystem`` did before directories knew their
+    children.  It only replays operations the file system accepted."""
+
+    def __init__(self):
+        self.dirs = {"/"}
+        self.files: dict[str, int] = {}
+
+    def mkdirs(self, path):
+        while path != "/":
+            self.dirs.add(path)
+            path = posixpath.dirname(path)
+
+    def create(self, path):
+        self.mkdirs(posixpath.dirname(path))
+        self.files[path] = len(path)
+
+    def _under(self, path, paths):
+        return [p for p in paths if p == path or p.startswith(path + "/")]
+
+    def delete(self, path):
+        for p in self._under(path, list(self.files)):
+            del self.files[p]
+        self.dirs -= set(self._under(path, self.dirs))
+
+    def rename(self, src, dst):
+        self.mkdirs(posixpath.dirname(dst))
+        for p in self._under(src, list(self.files)):
+            self.files[dst + p[len(src):]] = self.files.pop(p)
+        moved = self._under(src, self.dirs)
+        self.dirs -= set(moved)
+        self.dirs |= {dst + d[len(src):] for d in moved}
+
+    def children(self, path, paths):
+        return sorted(p for p in paths
+                      if p != "/" and posixpath.dirname(p) == path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPS)
+def test_listings_match_a_brute_force_scan(ops):
+    fs, model = SimFileSystem(), _Namespace()
+    for op, *paths in ops:
+        try:
+            if op == "create":
+                fs.create(paths[0], paths[0].encode())
+            elif op == "delete":
+                fs.delete(paths[0], recursive=True)
+            else:
+                getattr(fs, op)(*paths)
+        except FileSystemError:
+            continue
+        getattr(model, op)(*paths)
+        for d in model.dirs:
+            assert fs.list_dirs(d) == model.children(d, model.dirs)
+            assert [s.path for s in fs.list_files(d)] == model.children(
+                d, model.files)
+            assert [s.path for s in fs.list_files(d, recursive=True)] == \
+                sorted(p for p in model.files
+                       if p.startswith(d.rstrip("/") + "/"))
+            assert fs.total_bytes(d) == sum(
+                n for p, n in model.files.items()
+                if d == "/" or p.startswith(d + "/"))
+        for path in ("/a", "/a/b", "/a/b/c", "/b/c", "/c"):
+            assert fs.exists(path) == (path in model.dirs
+                                       or path in model.files)
+
+
+class TestChildrenIndexRefusals:
+    def test_a_file_cannot_become_a_directory(self, fs):
+        fs.create("/f", b"1")
+        with pytest.raises(FileSystemError):
+            fs.mkdirs("/f/g")
+        with pytest.raises(FileSystemError):
+            fs.create("/f/g", b"2")
+        assert fs.list_dirs("/") == []
+
+    def test_a_directory_cannot_move_into_itself(self, fs):
+        fs.mkdirs("/d/e")
+        with pytest.raises(FileSystemError):
+            fs.rename("/d", "/d/e/f")
+        assert fs.list_dirs("/d") == ["/d/e"]
