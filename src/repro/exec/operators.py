@@ -16,13 +16,13 @@ model, ``EXPLAIN ANALYZE`` and ``sys.operator_log`` all read it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..common.rows import Column, Schema
-from ..common.types import BIGINT, DOUBLE
+from ..common.rows import Schema
+from ..common.types import BIGINT
 from ..common.vector import ColumnVector, VectorBatch, dict_codes
 from ..errors import ExecutionError, OutOfMemoryError
 from ..plan import relnodes as rel
@@ -189,48 +189,50 @@ def _exec_sort(node: rel.Sort, ctx: ExecutionContext) -> VectorBatch:
 
 def sort_indices(batch: VectorBatch,
                  keys: Sequence[rel.SortKey]) -> np.ndarray:
-    """Stable multi-key sort; NULLs sort last regardless of direction."""
+    """Stable multi-key order: one ``np.lexsort`` over the keys'
+    :func:`order_ranks`, so ties keep input order and NULLs sort last
+    in both directions."""
     n = batch.num_rows
-    if n == 0:
-        return np.arange(0)
-    indices = list(range(n))
-    key_values = []
-    for key in keys:
-        vector = batch.vectors[key.index]
-        key_values.append((vector, key.ascending))
-
-    def sort_key(i: int):
-        parts = []
-        for vector, ascending in key_values:
-            is_null = bool(vector.nulls[i])
-            value = None if is_null else vector.data[i]
-            if value is not None and isinstance(value, np.generic):
-                value = value.item()
-            # nulls last: (1, anything); invert for DESC on comparables
-            parts.append((1, 0) if is_null else (0, _Directional(
-                value, ascending)))
-        return tuple(parts)
-
-    indices.sort(key=sort_key)
-    return np.asarray(indices, dtype=np.int64)
+    if n <= 1 or not keys:
+        return np.arange(n)
+    return np.lexsort([order_ranks(batch.vectors[key.index], key.ascending)
+                       for key in reversed(keys)])
 
 
-class _Directional:
-    """Wrapper to invert comparison for DESC keys."""
+def order_ranks(vector: ColumnVector, ascending: bool = True) -> np.ndarray:
+    """The value order of every operator that sorts, ranks or takes a
+    MIN / MAX: an int64 rank per row, equal exactly for peers.  Over the
+    ``g`` distinct non-NULL values ASC ranks are ``0 .. g - 1``, DESC is
+    ``g - 1 - rank`` (ranks are negated, never values), NULL is ``g``."""
+    nulls = vector.nulls
+    has_nulls = nulls.any()
+    ranks, distinct = _value_ranks(vector.data[~nulls] if has_nulls
+                                   else vector.data)
+    g = len(distinct)
+    if not ascending:
+        ranks = g - 1 - ranks
+    if not has_nulls:
+        return ranks
+    out = np.full(len(nulls), g, dtype=np.int64)
+    out[~nulls] = ranks
+    return out
 
-    __slots__ = ("value", "ascending")
 
-    def __init__(self, value, ascending: bool):
-        self.value = value
-        self.ascending = ascending
-
-    def __lt__(self, other: "_Directional") -> bool:
-        if self.ascending:
-            return self.value < other.value
-        return other.value < self.value
-
-    def __eq__(self, other) -> bool:
-        return self.value == other.value
+def _value_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's int64 rank among the distinct values, and those
+    values in order.  Numbers by ``np.unique``, which orders as Java's
+    ``Double.compare`` does except that ``-0.0`` ties ``0.0`` (as in
+    GROUP BY): NaN above +inf and all NaN one value.  Strings by code
+    point, ranking the dict of distinct strings (an object array)."""
+    if values.dtype == np.dtype(object):
+        index, codes = dict_codes(values.tolist())
+        distinct = np.empty(len(index), dtype=object)
+        distinct[:] = sorted(index)
+        ranks = np.empty(len(distinct), dtype=np.int64)
+        ranks[[index[s] for s in distinct]] = np.arange(len(distinct))
+        return ranks[codes], distinct
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks.reshape(-1).astype(np.int64, copy=False), distinct
 
 
 # --------------------------------------------------------------------------- #
@@ -240,32 +242,33 @@ def _exec_aggregate(node: rel.Aggregate, ctx: ExecutionContext) -> VectorBatch:
     child = execute(node.input, ctx)
     if node.grouping_sets is not None:
         return _aggregate_grouping_sets(node, child)
-    sizes: dict[tuple, int] = {}
-    rows = _aggregate_vectorized(node, child, node.group_keys, sizes)
-    ctx.record_keys(node, sizes)
-    return VectorBatch.from_rows(node.schema, rows)
+    vectors, sizes = _aggregate_vectorized(node, child, node.group_keys)
+    if node.group_keys and len(sizes) <= KEY_HISTOGRAM_MAX_KEYS:
+        keys = zip(*(_plain_values(v) for v in vectors[:len(node.group_keys)]))
+        ctx.record_keys(node, dict(zip(keys, sizes.tolist())))
+    return VectorBatch(node.schema, vectors)
 
 
 def _aggregate_grouping_sets(node: rel.Aggregate,
                              child: VectorBatch) -> VectorBatch:
-    all_rows = []
+    """One aggregate per grouping set, concatenated: the keys a set
+    leaves out are all NULL and ``grouping_id`` is a constant BIGINT
+    with one bit set per absent key."""
     key_count = len(node.group_keys)
+    key_columns = node.schema.columns[:key_count]
+    batches = []
     for gset in node.grouping_sets:
-        keys = tuple(node.group_keys[i] for i in gset)
-        rows = _aggregate_vectorized(node, child, keys)
-        grouping_id = 0
-        for i in range(key_count):
-            if i not in gset:
-                grouping_id |= 1 << (key_count - 1 - i)
-        expanded = []
-        for row in rows:
-            full = [None] * key_count
-            for out_pos, key_pos in enumerate(gset):
-                full[key_pos] = row[out_pos]
-            expanded.append(tuple(full) + tuple(row[len(gset):])
-                            + (grouping_id,))
-        all_rows.extend(expanded)
-    return VectorBatch.from_rows(node.schema, all_rows)
+        vectors, sizes = _aggregate_vectorized(
+            node, child, tuple(node.group_keys[i] for i in gset))
+        g = len(sizes)
+        keys = [_null_vector(col.dtype, g) for col in key_columns]
+        for key_pos, vector in zip(gset, vectors):
+            keys[key_pos] = vector
+        grouping_id = sum(1 << (key_count - 1 - i)
+                          for i in range(key_count) if i not in gset)
+        batches.append(VectorBatch(node.schema, keys + vectors[len(gset):] + [
+            ColumnVector(BIGINT, np.full(g, grouping_id, dtype=np.int64))]))
+    return VectorBatch.concat(node.schema, batches)
 
 
 def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -337,19 +340,6 @@ def _factorize_keys(child: VectorBatch, group_keys: tuple[int, ...]):
     return rank[inv], g, first_idx[order]
 
 
-def _key_tuple(key_columns, i: int) -> tuple:
-    return tuple(None if kc.nulls[i] else _plain(kc.data[i])
-                 for kc in key_columns)
-
-
-def _minmax_init(dtype: np.dtype, for_min: bool):
-    if dtype == np.dtype(bool):
-        return for_min
-    if np.issubdtype(dtype, np.floating):
-        return np.inf if for_min else -np.inf
-    return np.iinfo(dtype).max if for_min else np.iinfo(dtype).min
-
-
 def _first_of_each(codes: np.ndarray, g: int,
                    values: np.ndarray) -> np.ndarray:
     """Ascending row positions of the first row of every distinct
@@ -362,30 +352,15 @@ def _first_of_each(codes: np.ndarray, g: int,
     return first
 
 
-def _string_ranks(values: np.ndarray) -> tuple[np.ndarray, list]:
-    """Each string's rank among the distinct strings in code-point
-    order, and those strings in that order."""
-    index, codes = dict_codes(values.tolist())
-    ordered = sorted(index)
-    rank = np.empty(len(ordered), dtype=np.int64)
-    rank[[index[s] for s in ordered]] = np.arange(len(ordered))
-    return rank[codes], ordered
-
-
 def _aggregate_vectorized(node: rel.Aggregate, child: VectorBatch,
-                          group_keys: tuple[int, ...],
-                          sizes_out: Optional[dict] = None
-                          ) -> list[tuple]:
-    """Grouped aggregation as batch-level numpy ops; groups come out in
-    first-occurrence order and NULL arguments are ignored.
-
-    DOUBLE sums are ``np.bincount`` with weights, which accumulates in
-    row order — bit-identical to a sequential loop; integer sums
-    accumulate exactly in int64.  A DISTINCT call runs the same arms
-    over the first row of each distinct (group, value) pair, so its
-    DOUBLE sums add in first-occurrence order.  String MIN/MAX reduce
-    the strings' code-point ranks.  ``sizes_out`` receives rows per
-    group key, in group order.
+                          group_keys: tuple[int, ...]
+                          ) -> tuple[list[ColumnVector], np.ndarray]:
+    """Grouped aggregation as batch-level numpy ops: one vector per key
+    (each group's first row) and per call, and the rows of each group.
+    Groups come out in first-occurrence order; NULL arguments are
+    ignored, and a group without any is NULL (``0`` / ``""`` under it).
+    A DISTINCT call runs the same arms over the first row of each
+    distinct (group, value) pair.
     """
     for call in node.agg_calls:
         if call.func not in _AGG_FUNCS:
@@ -393,18 +368,11 @@ def _aggregate_vectorized(node: rel.Aggregate, child: VectorBatch,
         if call.distinct and call.func in ("stddev", "variance"):
             raise ExecutionError(f"unsupported DISTINCT {call.func}")
     codes, g, reps = _factorize_keys(child, group_keys)
-    if group_keys and g == 0:
-        return []
-    key_columns = [child.vectors[k] for k in group_keys]
-    keys = [_key_tuple(key_columns, int(r)) for r in reps]
-    group_sizes = np.bincount(codes, minlength=g).tolist()
-    if sizes_out is not None and group_keys:
-        sizes_out.update(zip(keys, group_sizes))
-
-    columns: list[list] = []    # finals per group, one list per call
+    sizes = np.bincount(codes, minlength=g)
+    vectors = [_blank_nulls(child.vectors[k].take(reps)) for k in group_keys]
     for call in node.agg_calls:
         if call.arg is None:     # count(*)
-            columns.append(group_sizes)
+            vectors.append(ColumnVector(call.dtype, sizes))
             continue
         column = child.vectors[call.arg]
         valid = ~column.nulls
@@ -412,56 +380,55 @@ def _aggregate_vectorized(node: rel.Aggregate, child: VectorBatch,
         if call.distinct:
             first = _first_of_each(valid_codes, g, values)
             valid_codes, values = valid_codes[first], values[first]
-        counts = np.bincount(valid_codes, minlength=g).tolist()
+        counts = np.bincount(valid_codes, minlength=g)
         if call.func == "count":
-            columns.append(counts)
+            vectors.append(ColumnVector(call.dtype, counts))
             continue
-        if call.func in ("sum", "avg"):
-            if values.dtype.kind in "iub":
-                totals = np.zeros(g, dtype=np.int64)
-                np.add.at(totals, valid_codes, values.astype(np.int64))
-            else:
-                totals = np.bincount(
-                    valid_codes, minlength=g,
-                    weights=values.astype(np.float64, copy=False))
-            totals = totals.tolist()
-            if call.func == "avg":
-                finals = [t / (c or 1) for t, c in zip(totals, counts)]
-            else:
-                plain = int if call.dtype == BIGINT else float
-                finals = [plain(t) for t in totals]
-        elif call.func in ("min", "max"):
-            strings = None
-            if values.dtype == np.dtype(object):
-                values, strings = _string_ranks(values)
-            for_min = call.func == "min"
-            out = np.full(g, _minmax_init(values.dtype, for_min),
-                          dtype=values.dtype)
-            (np.minimum if for_min else np.maximum).at(
-                out, valid_codes, values)
-            finals = out.tolist()
-            if strings is not None:
-                finals = [strings[r] if c else None
-                          for r, c in zip(finals, counts)]
-        else:                    # stddev / variance
-            weights = values.astype(np.float64, copy=False)
-            totals = np.bincount(valid_codes, weights=weights,
-                                 minlength=g).tolist()
-            sumsq = np.bincount(valid_codes, weights=weights * weights,
-                                minlength=g).tolist()
-            finals = []
-            for total, sq, count in zip(totals, sumsq, counts):
-                count = count or 1
-                mean = total / count
-                variance = max(0.0, sq / count - mean * mean)
-                finals.append(variance if call.func == "variance"
-                              else variance ** 0.5)
-        # a group with no non-NULL argument is NULL, whatever the arm
-        # computed for it
-        columns.append([f if c else None
-                        for f, c in zip(finals, counts)])
-    return [keys[j] + tuple(col[j] for col in columns)
-            for j in range(g)]
+        finals = _finals(call.func, valid_codes, values, counts)
+        vectors.append(_blank_nulls(ColumnVector(
+            call.dtype, finals.astype(call.dtype.numpy_dtype, copy=False),
+            counts == 0)))
+    return vectors, sizes
+
+
+def _finals(func: str, codes: np.ndarray, values: np.ndarray,
+            counts: np.ndarray) -> np.ndarray:
+    """One SUM / AVG / MIN / MAX / VARIANCE / STDDEV per group of the
+    non-NULL ``values``.  DOUBLE sums are ``np.bincount``, which adds in
+    row order as a loop would; integer sums are exact in int64.  MIN /
+    MAX reduce order ranks, so NaN is the largest value.  VARIANCE takes
+    the mean, then the squared deviations from it."""
+    g = len(counts)
+    if func in ("sum", "avg"):
+        if values.dtype.kind in "iub":
+            totals = np.zeros(g, dtype=np.int64)
+            np.add.at(totals, codes, values.astype(np.int64))
+        else:
+            totals = np.bincount(codes, minlength=g,
+                                 weights=values.astype(np.float64, copy=False))
+        if func == "sum":
+            return totals
+        means = totals / np.maximum(counts, 1)
+        if totals.dtype.kind == "i":
+            # beyond 2**53 float64 cannot hold the total: divide exactly
+            for j in np.flatnonzero((totals > 2**53) | (totals < -2**53)
+                                    ).tolist():
+                means[j] = int(totals[j]) / int(counts[j])
+        return means
+    if func in ("min", "max"):
+        ranks, distinct = _value_ranks(values)
+        best = np.full(g, len(distinct) if func == "min" else -1)
+        (np.minimum if func == "min" else np.maximum).at(best, codes, ranks)
+        return (distinct.take(best, mode="clip") if len(distinct)
+                else np.zeros(g, dtype=distinct.dtype))
+    weights = values.astype(np.float64, copy=False)      # stddev / variance
+    per_group = np.maximum(counts, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        means = np.bincount(codes, weights=weights, minlength=g) / per_group
+        deviations = weights - means[codes]
+        variance = np.bincount(codes, weights=deviations * deviations,
+                               minlength=g) / per_group
+    return variance if func == "variance" else np.sqrt(variance)
 
 
 _AGG_FUNCS = frozenset({"count", "sum", "avg", "min", "max", "stddev",
@@ -470,6 +437,29 @@ _AGG_FUNCS = frozenset({"count", "sum", "avg", "min", "max", "stddev",
 
 def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
+
+
+def _plain_values(vector: ColumnVector) -> list:
+    """The vector's storage values as plain Python, ``None`` for NULL."""
+    return [None if null else value for value, null in
+            zip(vector.data.tolist(), vector.nulls.tolist())]
+
+
+def _blank_nulls(vector: ColumnVector) -> ColumnVector:
+    """``vector`` with ``0`` / ``""`` under its NULLs, written in place:
+    only for vectors this module just allocated."""
+    if vector.nulls.any():
+        vector.data[vector.nulls] = (
+            "" if vector.data.dtype == np.dtype(object) else 0)
+    return vector
+
+
+def _null_vector(dtype, n: int) -> ColumnVector:
+    """``n`` NULLs of ``dtype``."""
+    data = np.zeros(n, dtype=dtype.numpy_dtype)
+    if data.dtype == np.dtype(object):
+        data[:] = ""
+    return ColumnVector(dtype, data, np.ones(n, dtype=bool))
 
 
 # --------------------------------------------------------------------------- #
@@ -656,62 +646,70 @@ def _residual_mask(node, left, right, li, ri, residual,
 def _combine(out_schema: Schema, left: VectorBatch, right: VectorBatch,
              li: np.ndarray, ri: np.ndarray) -> VectorBatch:
     """Materialize joined rows; index -1 produces NULL-padded sides."""
-    vectors: list[ColumnVector] = []
-    for v in left.vectors:
-        vectors.append(_take_padded(v, li))
-    for v in right.vectors:
-        vectors.append(_take_padded(v, ri))
-    return VectorBatch(out_schema, vectors)
+    return VectorBatch(out_schema, [_take_padded(v, li) for v in left.vectors]
+                       + [_take_padded(v, ri) for v in right.vectors])
 
 
 def _take_padded(vector: ColumnVector, indices: np.ndarray) -> ColumnVector:
     if len(vector.data) == 0:
         # an empty side has no row to take: all padding
-        data = np.zeros(len(indices), dtype=vector.data.dtype) \
-            if vector.data.dtype != np.dtype(object) else _empty_obj(
-                len(indices))
-        return ColumnVector(vector.dtype, data,
-                            np.ones(len(indices), dtype=bool))
+        return _null_vector(vector.dtype, len(indices))
     safe = np.where(indices < 0, 0, indices)
     return ColumnVector(vector.dtype, vector.data[safe],
                         vector.nulls[safe] | (indices < 0))
-
-
-def _empty_obj(n: int) -> np.ndarray:
-    out = np.empty(n, dtype=object)
-    out[:] = ""
-    return out
 
 
 # --------------------------------------------------------------------------- #
 # set operations
 
 def _exec_union(node: rel.Union, ctx: ExecutionContext) -> VectorBatch:
-    batches = [execute(child, ctx) for child in node.rels]
-    return VectorBatch.concat(node.schema, [
-        b.with_schema(node.schema) for b in batches])
+    return VectorBatch.concat(node.schema,
+                              [execute(child, ctx) for child in node.rels])
 
 
 def _exec_setop(node: rel.SetOp, ctx: ExecutionContext) -> VectorBatch:
+    """INTERSECT / EXCEPT over codes: both sides factorized together,
+    so rows are equal exactly where GROUP BY puts them in one group.
+    DISTINCT keeps the first left row of each code the right side has
+    (INTERSECT) or lacks (EXCEPT); ALL keeps, in left order, the first
+    ``min(l, r)`` (INTERSECT) or ``max(l - r, 0)`` (EXCEPT) of a code's
+    ``l`` left rows, ``r`` being its right rows."""
+    if node.kind not in ("intersect", "except"):
+        raise ExecutionError(f"unknown set op {node.kind}")
     left = execute(node.left, ctx)
     right = execute(node.right, ctx)
-    right_rows = set(right.to_rows())
-    left_rows = left.to_rows()
+    both = VectorBatch.concat(node.schema, [left, right])
+    codes, g, _ = _factorize_keys(both, tuple(range(len(node.schema))))
+    n = left.num_rows
+    left_codes = codes[:n]
+    l_count = np.bincount(left_codes, minlength=g)
+    r_count = np.bincount(codes[n:], minlength=g)
     if node.kind == "intersect":
-        out, seen = [], set()
-        for row in left_rows:
-            if row in right_rows and (node.all or row not in seen):
-                out.append(row)
-                seen.add(row)
-    elif node.kind == "except":
-        out, seen = [], set()
-        for row in left_rows:
-            if row not in right_rows and (node.all or row not in seen):
-                out.append(row)
-                seen.add(row)
+        quota = np.minimum(l_count, r_count) if node.all else r_count > 0
     else:
-        raise ExecutionError(f"unknown set op {node.kind}")
-    return VectorBatch.from_rows(node.schema, out)
+        quota = (np.maximum(l_count - r_count, 0) if node.all
+                 else r_count == 0)
+    # how many earlier left rows share each left row's code
+    order = np.argsort(left_codes, kind="stable")
+    earlier = np.empty(n, dtype=np.int64)
+    earlier[order] = np.arange(n) - _run_firsts(
+        _run_starts([left_codes[order]], n))
+    return left.filter(earlier < quota[left_codes])
+
+
+def _run_starts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """True where a row differs from the previous one in any column."""
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    return starts
+
+
+def _run_firsts(starts: np.ndarray) -> np.ndarray:
+    """The position of the first row of each row's run."""
+    positions = np.arange(len(starts))
+    return np.maximum.accumulate(np.where(starts, positions, 0))
 
 
 # --------------------------------------------------------------------------- #
@@ -719,103 +717,68 @@ def _exec_setop(node: rel.SetOp, ctx: ExecutionContext) -> VectorBatch:
 
 def _exec_window(node: rel.Window, ctx: ExecutionContext) -> VectorBatch:
     child = execute(node.input, ctx)
+    return VectorBatch(node.schema, list(child.vectors) + [
+        _window_column(call, child) for call in node.calls])
+
+
+def _window_column(call: rel.WindowCall, child: VectorBatch) -> ColumnVector:
+    """One window function over the whole input: a stable lexsort by
+    (partition codes, ORDER BY ranks) lays each partition out as a
+    segment, ties in input order; peers are a segment's rows with equal
+    ranks.  Results are scattered back to the input rows."""
     n = child.num_rows
-    out_vectors = list(child.vectors)
-    for call in node.calls:
-        out_vectors.append(_window_column(call, child, n))
-    return VectorBatch(node.schema, out_vectors)
+    keys = [order_ranks(child.vectors[k.index], k.ascending)
+            for k in reversed(call.order_keys)]
+    if call.partition_keys:
+        keys.append(_factorize_keys(child, call.partition_keys)[0])
+    order = np.lexsort(keys) if keys and n > 1 else np.arange(n)
+    keys = [k[order] for k in keys]
+    seg_starts = _run_starts(keys[-1:] if call.partition_keys else [], n)
+    peer_starts = _run_starts(keys, n)
+    if call.func not in ("row_number", "rank", "dense_rank"):
+        return _window_aggregate(call, child, order, seg_starts, peer_starts)
+    seg_first = _run_firsts(seg_starts)
+    if call.func == "row_number":
+        values = np.arange(n) - seg_first + 1
+    elif call.func == "rank":
+        values = _run_firsts(peer_starts) - seg_first + 1
+    else:
+        dense = np.cumsum(peer_starts)
+        values = dense - dense[seg_first] + 1
+    data = np.empty(n, dtype=call.dtype.numpy_dtype)
+    data[order] = values
+    return ColumnVector(call.dtype, data)
 
 
-def _partition_rows(child: VectorBatch,
-                    partition_keys) -> list[list[int]]:
-    """Row indices of each window partition (ascending within one).
-
-    Factorized: combined key codes + one stable argsort + np.split.
-    Partitions come out in first-occurrence order, which is immaterial
-    — window results are written back per absolute row index.
-    """
-    n = child.num_rows
-    if not partition_keys:
-        return [list(range(n))]
-    codes, g, _ = _factorize_keys(child, tuple(partition_keys))
-    if g <= 1:
-        return [list(range(n))] if n else []
-    order = np.argsort(codes, kind="stable")
-    cuts = np.flatnonzero(np.diff(codes[order])) + 1
-    return [seg.tolist() for seg in np.split(order, cuts)]
-
-
-def _window_column(call: rel.WindowCall, child: VectorBatch,
-                   n: int) -> ColumnVector:
-    partitions = _partition_rows(child, call.partition_keys)
-    np_dtype = call.dtype.numpy_dtype
-    data = (np.zeros(n, dtype=np_dtype) if np_dtype != np.dtype(object)
-            else _empty_obj(n))
-    nulls = np.zeros(n, dtype=bool)
-
-    for rows in partitions:
-        ordered = rows
-        if call.order_keys:
-            sub = child.take(np.asarray(rows, dtype=np.int64))
-            order = sort_indices(sub, call.order_keys)
-            ordered = [rows[j] for j in order]
-        if call.func == "row_number":
-            for rank, idx in enumerate(ordered, 1):
-                data[idx] = rank
-        elif call.func in ("rank", "dense_rank"):
-            _rank_partition(call, child, ordered, data)
-        else:
-            _agg_partition(call, child, ordered, data, nulls)
-    return ColumnVector(call.dtype, data, nulls)
-
-
-def _rank_partition(call, child, ordered, data) -> None:
-    def order_tuple(i: int):
-        return tuple(
-            (1,) if child.vectors[k.index].nulls[i]
-            else (0, _plain(child.vectors[k.index].data[i]))
-            for k in call.order_keys)
-
-    prev = None
-    rank = 0
-    dense = 0
-    for pos, idx in enumerate(ordered, 1):
-        current = order_tuple(idx)
-        if current != prev:
-            rank = pos
-            dense += 1
-            prev = current
-        data[idx] = rank if call.func == "rank" else dense
-
-
-def _agg_partition(call, child, ordered, data, nulls) -> None:
-    """Windowed aggregates: running when ORDER BY present, else whole."""
+def _window_aggregate(call: rel.WindowCall, child: VectorBatch,
+                      order: np.ndarray, seg_starts: np.ndarray,
+                      peer_starts: np.ndarray) -> ColumnVector:
+    """Windowed aggregates over the default frame, RANGE BETWEEN
+    UNBOUNDED PRECEDING AND CURRENT ROW: a row sees its segment up to
+    its last peer.  Without ORDER BY a whole partition is peers."""
+    n = len(order)
+    out = _null_vector(call.dtype, n)
     column = None if call.arg is None else child.vectors[call.arg]
-    if not call.order_keys:
-        values = []
-        if column is None:
-            total_count = len(ordered)
-        else:
-            values = [_plain(column.data[i]) for i in ordered
-                      if not column.nulls[i]]
-            total_count = len(values)
-        result, is_null = _window_agg_value(call.func, values, total_count)
-        for idx in ordered:
-            data[idx] = result if not is_null else data[idx]
-            nulls[idx] = is_null
-        return
+    if column is not None:
+        values = column.data[order].tolist()
+        valid = (~column.nulls[order]).tolist()
+    bounds = np.append(np.flatnonzero(peer_starts), n).tolist()
+    new_segment = seg_starts.tolist()
     running: list = []
     count = 0
-    for idx in ordered:
+    for start, stop in zip(bounds, bounds[1:]):
+        if new_segment[start]:
+            running, count = [], 0
         if column is None:
-            count += 1
-        elif not column.nulls[idx]:
-            running.append(_plain(column.data[idx]))
-            count += 1
+            count += stop - start
+        else:
+            running.extend(values[i] for i in range(start, stop) if valid[i])
+            count = len(running)
         result, is_null = _window_agg_value(call.func, running, count)
         if not is_null:
-            data[idx] = result
-        nulls[idx] = is_null
+            out.data[order[start:stop]] = result
+            out.nulls[order[start:stop]] = False
+    return out
 
 
 def _window_agg_value(func: str, values: list, count: int):
@@ -828,10 +791,15 @@ def _window_agg_value(func: str, values: list, count: int):
     if func == "avg":
         return sum(values) / len(values), False
     if func == "min":
-        return min(values), False
+        return min(values, key=_nan_last), False
     if func == "max":
-        return max(values), False
+        return max(values, key=_nan_last), False
     raise ExecutionError(f"unsupported window aggregate {func}")
+
+
+def _nan_last(value) -> tuple:
+    """Sort key of :func:`order_ranks`' order for one plain value."""
+    return value != value, value
 
 
 _DISPATCH = {

@@ -3,6 +3,7 @@
 windows — directly against the interpreter with hand-built plans.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.plan import rexnodes as rex
 from repro.plan.rexnodes import (AggregateCall, RexInputRef, RexLiteral,
                                  make_call)
 
-from . import expr_oracle
+from . import expr_oracle, order_oracle
 
 LEFT = Schema([Column("id", INT), Column("tag", STRING)])
 RIGHT = Schema([Column("rid", INT), Column("val", DOUBLE)])
@@ -372,7 +373,7 @@ def _new_state(call):
     if call.func in ("min", "max"):
         return [None]
     if call.func in ("stddev", "variance"):
-        return [0.0, 0.0, 0]     # sum, sumsq, count
+        return []                # the values
     raise ExecutionError(f"unknown aggregate {call.func}")
 
 
@@ -389,22 +390,21 @@ def _update_states(calls, states, arg_columns, i):
             continue
         value = _plain(column.data[i])
         if call.distinct:
-            state.add(value)
+            # one NaN object, so the set holds NaN once, as GROUP BY does
+            state.add(_NAN if value != value else value)
         elif call.func == "count":
             states[slot] += 1
         elif call.func in ("sum", "avg"):
             state[0] += value
             state[1] += 1
         elif call.func == "min":
-            if state[0] is None or value < state[0]:
+            if state[0] is None or _compare(value, state[0]) < 0:
                 state[0] = value
         elif call.func == "max":
-            if state[0] is None or value > state[0]:
+            if state[0] is None or _compare(value, state[0]) > 0:
                 state[0] = value
         elif call.func in ("stddev", "variance"):
-            state[0] += value
-            state[1] += value * value
-            state[2] += 1
+            state.append(value)
 
 
 def _finalize_state(call, state):
@@ -418,9 +418,9 @@ def _finalize_state(call, state):
         if call.func == "avg":
             return sum(state) / len(state)
         if call.func == "min":
-            return min(state)
+            return min(state, key=_VALUE_ORDER)
         if call.func == "max":
-            return max(state)
+            return max(state, key=_VALUE_ORDER)
         raise ExecutionError(f"unsupported DISTINCT {call.func}")
     if call.func == "count":
         return state
@@ -434,12 +434,55 @@ def _finalize_state(call, state):
     if call.func in ("min", "max"):
         return state[0]
     if call.func in ("stddev", "variance"):
-        if state[2] == 0:
+        # two passes, each adding in row order: the mean, then the
+        # squared deviations from it (sq / n - mean**2 cancelled)
+        if not state:
             return None
-        mean = state[0] / state[2]
-        variance = max(0.0, state[1] / state[2] - mean * mean)
-        return variance if call.func == "variance" else variance ** 0.5
+        total = 0.0
+        for value in state:
+            total += value
+        mean = total / len(state)
+        squares = 0.0
+        for value in state:
+            deviation = value - mean
+            squares += deviation * deviation
+        variance = squares / len(state)
+        return variance if call.func == "variance" else math.sqrt(variance)
     raise ExecutionError(call.func)
+
+
+_NAN = float("nan")
+_compare = order_oracle.compare_values
+_VALUE_ORDER = functools.cmp_to_key(_compare)
+
+
+def _grouping_sets_rowwise(node, child) -> VectorBatch:
+    """The former ``operators._aggregate_grouping_sets``: every set's
+    rows from the row loop, widened to all keys with ``None`` and
+    suffixed with ``grouping_id``, then ``VectorBatch.from_rows``."""
+    all_rows = []
+    key_count = len(node.group_keys)
+    for gset in node.grouping_sets:
+        keys = tuple(node.group_keys[i] for i in gset)
+        rows = _aggregate_rowwise(node, child, keys)
+        grouping_id = 0
+        for i in range(key_count):
+            if i not in gset:
+                grouping_id |= 1 << (key_count - 1 - i)
+        for row in rows:
+            full = [None] * key_count
+            for out_pos, key_pos in enumerate(gset):
+                full[key_pos] = row[out_pos]
+            all_rows.append(tuple(full) + tuple(row[len(gset):])
+                            + (grouping_id,))
+    return VectorBatch.from_rows(node.schema, all_rows)
+
+
+def _agg_rows(node, batch, group_keys) -> list:
+    """``_aggregate_vectorized``'s vectors as rows of plain storage
+    values, the shape the row loop returns."""
+    vectors, _ = ops._aggregate_vectorized(node, batch, group_keys)
+    return list(zip(*(ops._plain_values(v) for v in vectors)))
 
 
 #: argument columns by ordinal (after the two key columns) and what may
@@ -448,7 +491,8 @@ def _finalize_state(call, state):
 _ARG_POOLS = [
     (INT, [None, 0, 1, -1, 2, 7, 100]),
     (BIGINT, [None, 0, 1, -3, 2**53, 2**53 + 1, -(2**53) - 1]),
-    (DOUBLE, [None, 0.0, -0.0, 1.5, -2.25, 0.1, 0.2, 0.3, 1e6, 1e-3]),
+    (DOUBLE, [None, 0.0, -0.0, 1.5, -2.25, 0.1, 0.2, 0.3, 1e6, 1e-3,
+              float("nan"), float("inf")]),
     (STRING, [None, "", "a", "b", "ab", "B", "\u00e9", "z"]),
 ]
 _ARG_FUNCS = {
@@ -465,6 +509,11 @@ _AGG_SCHEMA = Schema(
 #: in set order: they may differ by the rounding of <= 300 additions of
 #: values up to 1e6
 _DISTINCT_SUM_TOL = 300 * np.finfo(np.float64).eps * 1e6
+
+
+def _same(got, expected) -> bool:
+    """``==`` (so ``-0.0 == 0.0``), and NaN equals NaN."""
+    return got == expected or (got != got and expected != expected)
 
 
 @st.composite
@@ -501,26 +550,32 @@ def _agg_inputs(draw):
     return VectorBatch.from_rows(_AGG_SCHEMA, rows), group_keys, calls
 
 
-def _assert_same_groups(calls, key_count, rows, want):
-    assert len(rows) == len(want)
-    for row, want_row in zip(rows, want):
-        assert row[:key_count] == want_row[:key_count]
-        for call, got, expected in zip(calls, row[key_count:],
-                                       want_row[key_count:]):
-            assert type(got) is type(expected), (call.digest, row, want_row)
-            if (call.distinct and call.func in ("sum", "avg")
-                    and isinstance(got, float)):
-                assert math.isclose(got, expected, rel_tol=0.0,
+def _assert_same_vectors(calls, key_count, got, want):
+    """Vector by vector: type, storage dtype, nulls, and every value —
+    the ``0`` / ``""`` under a NULL included."""
+    assert got.num_rows == want.num_rows
+    for pos, (vector, expected) in enumerate(zip(got.vectors,
+                                                 want.vectors)):
+        assert vector.dtype == expected.dtype, pos
+        assert vector.data.dtype == expected.data.dtype, pos
+        assert vector.nulls.tolist() == expected.nulls.tolist(), pos
+        call = calls[pos - key_count] if pos >= key_count else None
+        for value, want_value in zip(vector.data.tolist(),
+                                     expected.data.tolist()):
+            if (call is not None and call.distinct
+                    and call.func in ("sum", "avg")
+                    and math.isfinite(want_value)):
+                assert math.isclose(value, want_value, rel_tol=0.0,
                                     abs_tol=_DISTINCT_SUM_TOL)
             else:
-                # == compares -0.0 and 0.0 by value
-                assert got == expected, (call.digest, row, want_row)
+                assert _same(value, want_value), (pos, value, want_value)
 
 
 class TestVectorizedAggregationParity:
     """``_aggregate_vectorized`` must equal the row loop it replaced —
-    rows, group order (first occurrence), float accumulation and the
-    per-key sizes the skew model consumes."""
+    vector by vector against ``from_rows`` of its rows, group order
+    (first occurrence), float accumulation and the per-key sizes the
+    skew model consumes."""
 
     @given(_agg_inputs())
     @settings(max_examples=300, deadline=None)
@@ -528,11 +583,15 @@ class TestVectorizedAggregationParity:
         batch, group_keys, calls = inputs
         node = rel.Aggregate(scan("t", _AGG_SCHEMA), group_keys,
                              tuple(calls))
-        sizes, want_sizes = {}, {}
-        rows = ops._aggregate_vectorized(node, batch, group_keys, sizes)
-        want = _aggregate_rowwise(node, batch, group_keys, want_sizes)
-        _assert_same_groups(calls, len(group_keys), rows, want)
-        assert list(sizes.items()) == list(want_sizes.items())
+        ctx = ExecutionContext(scan_executor=lambda n: batch)
+        got = execute(node, ctx)
+        want_sizes = {}
+        want = VectorBatch.from_rows(node.schema, _aggregate_rowwise(
+            node, batch, group_keys, want_sizes))
+        _assert_same_vectors(calls, len(group_keys), got, want)
+        # record_keys gets the row loop's dict: keys, counts and order
+        assert repr(ctx.runs[node.digest].key_counts) == repr(
+            want_sizes or None)
 
     @given(_agg_inputs(), st.lists(st.lists(
         st.integers(0, 1), max_size=2, unique=True), min_size=1,
@@ -544,18 +603,13 @@ class TestVectorizedAggregationParity:
             scan("t", _AGG_SCHEMA), (0, 1), tuple(calls),
             grouping_sets=tuple(tuple(sorted(s)) for s in sets))
         ctx = ExecutionContext(scan_executor=lambda n: batch)
-        rows = execute(node, ctx).to_rows()
-        fast = ops._aggregate_vectorized
-        ops._aggregate_vectorized = _aggregate_rowwise
-        try:
-            want = execute(node, ExecutionContext(
-                scan_executor=lambda n: batch)).to_rows()
-        finally:
-            ops._aggregate_vectorized = fast
+        got = execute(node, ctx)
+        want = _grouping_sets_rowwise(node, batch)
         # the trailing grouping_id rides along as one more exact column
-        _assert_same_groups(
+        _assert_same_vectors(
             calls + [AggregateCall("count", None, BIGINT, "grouping_id")],
-            2, rows, want)
+            2, got, want)
+        assert ctx.runs[node.digest].key_counts is None
 
     def test_empty_input_with_and_without_keys(self):
         empty = VectorBatch.from_rows(_AGG_SCHEMA, [])
@@ -566,9 +620,9 @@ class TestVectorizedAggregationParity:
                  AggregateCall("min", 5, STRING, "lo"),
                  AggregateCall("stddev", 4, DOUBLE, "sd"))
         node = rel.Aggregate(scan("t", _AGG_SCHEMA), (), calls)
-        assert ops._aggregate_vectorized(node, empty, ()) == [
+        assert _agg_rows(node, empty, ()) == [
             (0, 0, None, None, None, None)]
-        assert ops._aggregate_vectorized(node, empty, (0,)) == []
+        assert _agg_rows(node, empty, (0,)) == []
 
     def test_group_order_is_first_occurrence(self):
         schema = Schema([Column("g", INT), Column("v", INT)])
@@ -614,7 +668,7 @@ class TestVectorizedAggregationParity:
             rel.TableScan("t", schema), (),
             (AggregateCall("min", 0, STRING, "lo"),
              AggregateCall("max", 0, STRING, "hi")))
-        assert ops._aggregate_vectorized(node, batch, ()) == [
+        assert _agg_rows(node, batch, ()) == [
             ("", "\u00e9")]
 
     def test_fast_path_bit_matches_rowwise(self):
@@ -632,7 +686,7 @@ class TestVectorizedAggregationParity:
              AggregateCall("min", 1, DOUBLE, "lo"),
              AggregateCall("max", 1, DOUBLE, "hi")),
             ("g",))
-        fast = ops._aggregate_vectorized(node, batch, (0,), None)
+        fast = _agg_rows(node, batch, (0,))
         slow = _aggregate_rowwise(node, batch, (0,), None)
         assert fast == slow                    # bit-equal floats
 
@@ -646,7 +700,7 @@ class TestVectorizedAggregationParity:
             (AggregateCall("sum", 0, DOUBLE, "s"),
              AggregateCall("count", None, BIGINT, "c"),
              AggregateCall("variance", 0, DOUBLE, "var")), ())
-        fast = ops._aggregate_vectorized(node, batch, (), None)
+        fast = _agg_rows(node, batch, ())
         slow = _aggregate_rowwise(node, batch, (), None)
         assert fast == slow
 
@@ -660,7 +714,7 @@ class TestVectorizedAggregationParity:
             rel.TableScan("t", schema), (),
             (AggregateCall("sum", 0, DOUBLE, "s", distinct=True),
              AggregateCall("avg", 0, DOUBLE, "a", distinct=True)))
-        assert ops._aggregate_vectorized(node, batch, ()) == [(0.0, 0.0)]
+        assert _agg_rows(node, batch, ()) == [(0.0, 0.0)]
 
     def test_distinct_treats_nan_and_signed_zero_as_group_by_does(self):
         nan = float("nan")
@@ -671,11 +725,11 @@ class TestVectorizedAggregationParity:
         node = rel.Aggregate(
             rel.TableScan("t", schema), (0,),
             (AggregateCall("count", 1, BIGINT, "c", distinct=True),))
-        assert ops._aggregate_vectorized(node, batch, (0,)) == [
+        assert _agg_rows(node, batch, (0,)) == [
             (1, 2), (2, 1)]
         # the same column as a GROUP BY key sees the same values
         by_value = rel.Aggregate(rel.TableScan("t", schema), (1,), ())
-        assert len(ops._aggregate_vectorized(by_value, batch, (1,))) == 4
+        assert len(_agg_rows(by_value, batch, (1,))) == 4
 
     def test_distinct_stddev_is_refused(self):
         schema = Schema([Column("v", DOUBLE)])
@@ -686,7 +740,7 @@ class TestVectorizedAggregationParity:
                 (AggregateCall(func, 0, DOUBLE, "x", distinct=True),))
             with pytest.raises(ExecutionError,
                                match=f"unsupported DISTINCT {func}"):
-                ops._aggregate_vectorized(node, batch, ())
+                _agg_rows(node, batch, ())
             with pytest.raises(ExecutionError,
                                match=f"unsupported DISTINCT {func}"):
                 _aggregate_rowwise(node, batch, ())
@@ -698,7 +752,7 @@ class TestVectorizedAggregationParity:
             rel.TableScan("t", schema), (),
             (AggregateCall("median", 0, DOUBLE, "m"),))
         with pytest.raises(ExecutionError, match="unknown aggregate"):
-            ops._aggregate_vectorized(node, batch, ())
+            _agg_rows(node, batch, ())
 
 
 # --------------------------------------------------------------------------- #
@@ -816,3 +870,190 @@ class TestHashJoinParity:
         combined = ops._combine_codes(wide)
         assert combined[1] == combined[3]
         assert len(set(combined.tolist())) == 3
+
+
+# --------------------------------------------------------------------------- #
+# the value order: sort, window ranks and set ops against tests/order_oracle
+
+_INF = float("inf")
+_ORDER_POOLS = {
+    INT: [None, 0, 1, -1, 7, 2**31 - 1, -(2**31)],
+    BIGINT: [None, 0, -1, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)],
+    DOUBLE: [None, 0.0, -0.0, 1.5, -2.25, _NAN, _INF, -_INF, 1e300],
+    STRING: [None, "", "a", "b", "ab", "B", "é", "z"],
+    DATE: [None, 0, 1, -1, 18000],
+    BOOLEAN: [None, True, False],
+}
+
+
+@st.composite
+def _ordered_batch(draw, max_rows=40):
+    """A batch of 1-3 drawn columns plus a trailing row number."""
+    types = draw(st.lists(st.sampled_from(list(_ORDER_POOLS)), min_size=1,
+                          max_size=3))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(_ORDER_POOLS[t])
+                                     for t in types)), max_size=max_rows))
+    schema = Schema([Column(f"c{i}", t) for i, t in enumerate(types)]
+                    + [Column("row", BIGINT)])
+    return VectorBatch.from_rows(schema, [r + (i,) for i, r in
+                                          enumerate(rows)])
+
+
+@st.composite
+def _sort_keys(draw, width):
+    keys = draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                   st.booleans()), min_size=1, max_size=4))
+    return tuple(rel.SortKey(i, ascending) for i, ascending in keys)
+
+
+def _readonly(batch):
+    """``batch`` with every array read-only, as LLAP hands them out."""
+    for vector in batch.vectors:
+        vector.data.setflags(write=False)
+        vector.nulls.setflags(write=False)
+    return batch
+
+
+class TestValueOrder:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sort_matches_the_oracle(self, data):
+        batch = _readonly(data.draw(_ordered_batch()))
+        keys = data.draw(_sort_keys(len(batch.schema) - 1))
+        fetch = data.draw(st.one_of(st.none(), st.integers(0, 45)))
+        want = order_oracle.sort_indices(batch, keys)
+        assert ops.sort_indices(batch, keys).tolist() == want.tolist()
+        node = rel.Sort(scan("t", batch.schema), keys, fetch=fetch)
+        got = execute(node, ExecutionContext(scan_executor=lambda n: batch))
+        assert got.vectors[-1].data.tolist() == want[:fetch].tolist()
+
+    def test_order_ranks_by_hand(self):
+        nan = float("nan")
+        vector = VectorBatch.from_rows(
+            Schema([Column("v", DOUBLE)]),
+            [(3.0,), (nan,), (None,), (-0.0,), (0.0,), (nan,)]).vectors[0]
+        assert ops.order_ranks(vector).tolist() == [1, 2, 3, 0, 0, 2]
+        assert ops.order_ranks(vector, False).tolist() == [1, 0, 3, 2, 2, 0]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_window_ranks_and_running_aggregates_match_the_oracle(
+            self, data):
+        batch = _readonly(data.draw(_ordered_batch(max_rows=25)))
+        width = len(batch.schema) - 1
+        partition = tuple(data.draw(st.lists(
+            st.integers(0, width - 1), max_size=2, unique=True)))
+        order_keys = data.draw(st.one_of(st.just(()), _sort_keys(width)))
+        arg = data.draw(st.integers(0, width - 1))
+        arg_type = batch.schema[arg].dtype
+        funcs = ["row_number", "rank", "dense_rank", "count", "min", "max"]
+        if arg_type in (INT, BIGINT, DOUBLE):
+            funcs += ["sum", "avg"]
+        calls = []
+        for i, func in enumerate(funcs):
+            if func in ("row_number", "rank", "dense_rank", "count"):
+                dtype, call_arg = BIGINT, None if func != "count" else arg
+            elif func == "avg":
+                dtype, call_arg = DOUBLE, arg
+            elif func == "sum":
+                dtype, call_arg = (DOUBLE if arg_type == DOUBLE
+                                   else BIGINT), arg
+            else:
+                dtype, call_arg = arg_type, arg
+            calls.append(rel.WindowCall(func, call_arg, partition,
+                                        order_keys, dtype, f"w{i}"))
+        if arg_type == BIGINT:      # a running sum may leave int64
+            calls = [c for c in calls if c.func not in ("sum", "avg")]
+        node = rel.Window(scan("t", batch.schema), tuple(calls))
+        got = execute(node, ExecutionContext(scan_executor=lambda n: batch))
+        for pos, call in enumerate(calls, len(batch.schema)):
+            want = _window_oracle(batch, call)
+            assert all(_same(a, b) for a, b in zip(
+                got.vectors[pos].to_values(), want)), (call.func, want)
+
+    @given(st.data(), st.sampled_from(["intersect", "except"]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_set_ops_match_the_counter_model(self, data, kind, all_):
+        types = data.draw(st.lists(st.sampled_from(
+            [INT, DOUBLE, STRING, DATE]), min_size=1, max_size=3))
+        pools = {INT: [None, 0, 1, 2], DOUBLE: [None, 0.0, -0.0, 1.5, _NAN],
+                 STRING: [None, "", "a", "b"], DATE: [None, 0, 1]}
+        schema = Schema([Column(f"c{i}", t) for i, t in enumerate(types)])
+        sides = {}
+        for name in ("l", "r"):
+            rows = data.draw(st.lists(st.tuples(*(
+                st.sampled_from(pools[t]) for t in types)), max_size=12))
+            sides[name] = _readonly(VectorBatch.from_rows(schema, rows))
+        node = rel.SetOp(kind, scan("l", schema), scan("r", schema), all_)
+        got = execute(node, ExecutionContext(
+            scan_executor=lambda n: sides[n.table_name])).to_rows()
+        want = order_oracle.setop_rows(kind, all_, sides["l"].to_rows(),
+                                       sides["r"].to_rows())
+        assert repr(got) == repr(want)
+
+    def test_kernels_never_write_into_their_input(self):
+        schema = Schema([Column("k", STRING), Column("v", DOUBLE)])
+        batch = _readonly(VectorBatch.from_rows(
+            schema, [(None, 1.0), ("a", None), ("a", _NAN), (None, 2.0)]))
+        ctx = ExecutionContext(scan_executor=lambda n: batch)
+        source = scan("t", schema)
+        calls = (AggregateCall("min", 1, DOUBLE, "lo"),
+                 AggregateCall("max", 1, DOUBLE, "hi"),
+                 AggregateCall("variance", 1, DOUBLE, "var"))
+        for node in (
+                rel.Aggregate(source, (0,), calls),
+                rel.Aggregate(source, (0, 1), calls,
+                              grouping_sets=((0, 1), (0,), ())),
+                rel.Sort(source, (rel.SortKey(0, False),
+                                  rel.SortKey(1, True))),
+                rel.Window(source, (rel.WindowCall(
+                    "rank", None, (0,), (rel.SortKey(1, True),), BIGINT,
+                    "r"),)),
+                rel.SetOp("intersect", source, source, True)):
+            assert execute(node, ctx).num_rows > 0
+
+
+def _window_oracle(batch, call) -> list:
+    """One window column the slow way: partitions by ``group_key``, each
+    sorted by the oracle sort, peers by equal order-key values, and the
+    aggregate of each row's partition up to its last peer."""
+    n = batch.num_rows
+
+    def values(columns, i):
+        return order_oracle.group_key(tuple(
+            batch.vectors[c].value(i) for c in columns))
+
+    partitions: dict = {}
+    for i in range(n):
+        partitions.setdefault(values(call.partition_keys, i), []).append(i)
+    out = [None] * n
+    order_columns = [k.index for k in call.order_keys]
+    for rows in partitions.values():
+        sub = batch.take(np.asarray(rows, dtype=np.int64))
+        ordered = [rows[j] for j in order_oracle.sort_indices(
+            sub, call.order_keys)]
+        peers = [values(order_columns, i) for i in ordered]
+        for pos, i in enumerate(ordered):
+            first = peers.index(peers[pos])
+            last = len(peers) - 1 - peers[::-1].index(peers[pos])
+            if call.func == "row_number":
+                out[i] = pos + 1
+            elif call.func == "rank":
+                out[i] = first + 1
+            elif call.func == "dense_rank":
+                out[i] = len(dict.fromkeys(peers[:first + 1]))
+            else:
+                seen = [batch.vectors[call.arg].value(j)
+                        for j in ordered[:last + 1]]
+                seen = [v for v in seen if v is not None]
+                if call.func == "count":
+                    out[i] = len(seen)
+                elif seen and call.func == "sum":
+                    out[i] = sum(seen)
+                elif seen and call.func == "avg":
+                    out[i] = sum(seen) / len(seen)
+                elif seen:
+                    pick = min if call.func == "min" else max
+                    out[i] = pick(seen, key=_VALUE_ORDER)
+    return out
