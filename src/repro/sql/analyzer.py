@@ -40,6 +40,14 @@ _EXTRACT_OPS = {
     "SECOND": "EXTRACT_SECOND",
 }
 
+#: the window frames that run, by "has ORDER BY": the default RANGE
+#: frame (a row's partition up to its last peer; without ORDER BY all
+#: rows are peers) and, without ORDER BY, the whole partition
+_TO_ROW, _WHOLE = ("RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+                   "BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING")
+_FRAMES_RUN = {True: {_TO_ROW},
+               False: {_TO_ROW, f"ROWS {_WHOLE}", f"RANGE {_WHOLE}"}}
+
 
 # --------------------------------------------------------------------------- #
 # scopes
@@ -582,6 +590,9 @@ class Analyzer:
                         "plain columns")
                 return converted.index
 
+            frame = call.window.frame
+            if frame and frame not in _FRAMES_RUN[bool(call.window.order_by)]:
+                raise AnalysisError(f"window frame {frame} is not supported")
             partition = tuple(to_ordinal(e)
                               for e in call.window.partition_by)
             order_keys = tuple(

@@ -163,6 +163,7 @@ class ScalarSubquery(Expr):
 class WindowSpec(Node):
     partition_by: tuple[Expr, ...] = ()
     order_by: tuple["OrderItem", ...] = ()
+    frame: str = ""     # "ROWS|RANGE BETWEEN <bound> AND <bound>" or ""
 
     def unparse(self) -> str:
         parts = []
@@ -172,6 +173,8 @@ class WindowSpec(Node):
         if self.order_by:
             cols = ", ".join(o.unparse() for o in self.order_by)
             parts.append(f"ORDER BY {cols}")
+        if self.frame:
+            parts.append(self.frame)
         return " ".join(parts)
 
 

@@ -1239,12 +1239,26 @@ class Parser:
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
             order_by = self._parse_order_items()
-        # frame clauses are accepted and ignored (whole-partition frames)
+        frame = ""
+        unit = self.peek().value
         if self.accept_keyword("ROWS", "RANGE"):
-            while not self.peek().is_op(")"):
-                self.advance()
+            if self.accept_keyword("BETWEEN"):
+                start = self._parse_frame_bound()
+                self.expect_keyword("AND")
+                end = self._parse_frame_bound()
+            else:
+                start, end = self._parse_frame_bound(), "CURRENT ROW"
+            frame = f"{unit} BETWEEN {start} AND {end}"
         self.expect_op(")")
-        return ast.WindowSpec(tuple(partition_by), tuple(order_by))
+        return ast.WindowSpec(tuple(partition_by), tuple(order_by), frame)
+
+    def _parse_frame_bound(self) -> str:
+        if self.accept_keyword("CURRENT"):
+            self.expect_keyword("ROW")
+            return "CURRENT ROW"
+        offset = ("UNBOUNDED" if self.accept_keyword("UNBOUNDED")
+                  else str(self.expect_number()))
+        return f"{offset} {self.expect_keyword('PRECEDING', 'FOLLOWING').value}"
 
 
 def _numeric(text: str):

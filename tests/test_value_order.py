@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+from repro.errors import AnalysisError
+from repro.sql.parser import parse_statement
 
 NAN = float("nan")
 
@@ -122,9 +124,35 @@ class TestWindowFrames:
             "PRECEDING AND CURRENT ROW) FROM ties").rows
         assert sorted(ranged) == sorted(rows)
 
+    def test_frame_is_parsed_and_printed(self):
+        query = parse_statement(
+            "SELECT SUM(v) OVER (ORDER BY k ROWS 1 PRECEDING) FROM w")
+        text = query.unparse()
+        assert "ROWS BETWEEN 1 PRECEDING AND CURRENT ROW" in text
+        assert parse_statement(text).unparse() == text
+
+    def test_other_frames_are_refused(self, series):
+        for frame in ("ROWS BETWEEN 1 PRECEDING AND CURRENT ROW",
+                      "ROWS UNBOUNDED PRECEDING",
+                      "ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED "
+                      "FOLLOWING"):
+            with pytest.raises(AnalysisError, match="window frame"):
+                series.execute(f"SELECT k, SUM(v) OVER (ORDER BY k {frame}) "
+                               "FROM w")
+
     def test_whole_partition_frame_without_order_by(self, series):
         rows = series.execute(
             "SELECT k, SUM(v) OVER (ROWS BETWEEN UNBOUNDED PRECEDING AND "
             "UNBOUNDED FOLLOWING) FROM w").rows
         assert sorted(rows) == [(1, 1111.0), (2, 1111.0), (3, 1111.0),
                                 (4, 1111.0)]
+
+    def test_framed_query_raises_after_its_twin_was_plan_cached(
+            self, series):
+        series.conf.results_cache_enabled = False
+        plain = "SELECT k, SUM(v) OVER (ORDER BY k) FROM w"
+        series.execute(plain)
+        assert series.execute(plain).plan_cached
+        with pytest.raises(AnalysisError, match="window frame"):
+            series.execute("SELECT k, SUM(v) OVER (ORDER BY k ROWS BETWEEN "
+                           "1 PRECEDING AND CURRENT ROW) FROM w")
