@@ -90,12 +90,6 @@ class TestSetOps:
         assert sides.execute("SELECT k FROM a EXCEPT ALL "
                              "SELECT k FROM b").rows == [(1,), (1,), (2,)]
 
-    def test_distinct_forms(self, sides):
-        assert sides.execute("SELECT k FROM a INTERSECT "
-                             "SELECT k FROM b").rows == [(1,)]
-        assert sides.execute("SELECT k FROM a EXCEPT "
-                             "SELECT k FROM b").rows == [(2,)]
-
     def test_nan_rows_are_equal(self, doubles):
         rows = _column(doubles.execute(
             "SELECT v FROM d INTERSECT SELECT v FROM d"))
